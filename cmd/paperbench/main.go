@@ -278,11 +278,11 @@ var scaleWorkerCounts = []int{1, 4, 16}
 // runScale measures the parallel tick's worker scaling (fixed batch,
 // same seed per arm, one compiled problem per instance). With check set,
 // the 4-worker arm must reach 3x the 1-worker arm on at least two
-// instances and every row's streams must stay identical — the multi-core
-// regression gate. Speedup can only materialize when the host has the
-// cores: below 4 CPUs the gate degrades to the stream-identity check and
-// reports the speedup leg as skipped instead of failing on hardware the
-// curve cannot exist on.
+// instances and every row's streams must agree solution by solution over
+// a non-empty common prefix — the multi-core regression gate. Speedup can
+// only materialize when the host has the cores: below 4 CPUs the gate
+// degrades to the stream-identity check and reports the speedup leg as
+// skipped instead of failing on hardware the curve cannot exist on.
 func runScale(ctx context.Context, ins []*benchgen.Instance, opt harness.RunOptions, check bool) ([]harness.ScaleRow, bool) {
 	fmt.Printf("== Scale: worker-count scaling of the parallel tick (target %d, timeout %v) ==\n\n",
 		opt.Target, opt.Timeout)
@@ -295,6 +295,10 @@ func runScale(ctx context.Context, ins []*benchgen.Instance, opt harness.RunOpti
 	for _, r := range rows {
 		if !r.Identical {
 			fmt.Fprintf(os.Stderr, "paperbench: %s: solution streams diverged across worker counts\n", r.Instance)
+			ok = false
+		}
+		if r.Prefix == 0 {
+			fmt.Fprintf(os.Stderr, "paperbench: %s: an arm delivered no solutions, so stream identity went unchecked\n", r.Instance)
 			ok = false
 		}
 	}

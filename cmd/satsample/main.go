@@ -247,9 +247,12 @@ func run() (err error) {
 	}
 
 	written := 0
+	var line []byte // one output line, reused across solutions
 	st, serr := s.Stream(ctx, *n, func(sol []bool) error {
 		written++
-		return writeBits(w, sol)
+		line = append(cnf.AppendAssignment(line[:0], sol), '\n')
+		_, werr := w.Write(line)
+		return werr
 	})
 	if serr != nil {
 		return fmt.Errorf("streaming solutions: %w", serr)
@@ -324,17 +327,4 @@ func buildSampler(f *cnf.Formula, kind string, cfg sampling.SessionConfig, verbo
 	default:
 		return nil, fmt.Errorf("unknown sampler %q", kind)
 	}
-}
-
-func writeBits(w *bufio.Writer, bits []bool) error {
-	for _, b := range bits {
-		c := byte('0')
-		if b {
-			c = '1'
-		}
-		if err := w.WriteByte(c); err != nil {
-			return err
-		}
-	}
-	return w.WriteByte('\n')
 }

@@ -82,6 +82,10 @@ func (p *Program) NumClauses() int { return len(p.clauses) }
 // 4× and the accumulators schedule as independent instruction streams.
 const sweepWidth = 4
 
+// SweepWidth is the number of packed words one node sweep evaluates: the
+// most words Eval.Nodes accepts, and the node-major stride of its result.
+const SweepWidth = sweepWidth
+
 // Eval is reusable per-goroutine scratch for a Program.
 type Eval struct {
 	prog *Program
@@ -334,6 +338,25 @@ func (e *Eval) OutputsMask(cols [][]uint64, words int, ok []uint64) {
 			ok[w+j] = m
 		}
 	}
+}
+
+// Nodes evaluates every circuit node on words (1..SweepWidth) packed input
+// words — word j of input i is cols[i][j] — and returns the node values
+// node-major: word j of node id is vals[id*SweepWidth+j]. It is the sweep
+// Verify runs, without the clause check, for callers that read node values
+// (delivery materializes full CNF assignments from them). The result is
+// this Eval's scratch, read-only and valid until its next sweep. No
+// allocations.
+func (e *Eval) Nodes(cols [][]uint64, words int) []uint64 {
+	if len(cols) != len(e.prog.circ.Inputs) {
+		panic(fmt.Sprintf("bitblast: got %d input columns for %d inputs", len(cols), len(e.prog.circ.Inputs)))
+	}
+	if words < 1 || words > sweepWidth {
+		panic(fmt.Sprintf("bitblast: %d words per node sweep (want 1..%d)", words, sweepWidth))
+	}
+	ws := [sweepWidth]int{0, 1, 2, 3}
+	e.evalWords(cols, &ws, words)
+	return e.vals
 }
 
 // evalWords computes every node's packed values for the k (1..sweepWidth)

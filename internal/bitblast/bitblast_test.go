@@ -95,6 +95,30 @@ func TestVerifyMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestNodesMatchesEval checks the exposed node sweep against Circuit.Eval
+// on every lane, for each word count 1..SweepWidth (short sweeps pad, and
+// the padding must never leak into the requested words).
+func TestNodesMatchesEval(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 25; trial++ {
+		c := randomCircuit(r, 1+r.Intn(6), 5+r.Intn(20))
+		ev := bitblast.New(c, map[int]circuit.NodeID{}, cnf.New(0)).NewEval()
+		for words := 1; words <= bitblast.SweepWidth; words++ {
+			cols, rows := packInputs(r, len(c.Inputs), 64*words)
+			vals := ev.Nodes(cols, words)
+			for b, row := range rows {
+				want := c.Eval(row)
+				for id, v := range want {
+					got := vals[id*bitblast.SweepWidth+b>>6]>>(uint(b)&63)&1 == 1
+					if got != v {
+						t.Fatalf("trial %d words %d lane %d node %d: packed=%v scalar=%v", trial, words, b, id, got, v)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestOutputsMaskMatchesEval checks the circuit-output mask against
 // Circuit.OutputsSatisfied per lane.
 func TestOutputsMaskMatchesEval(t *testing.T) {

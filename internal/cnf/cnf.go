@@ -130,6 +130,20 @@ func (f *Formula) Sat(assign []bool) bool {
 	return true
 }
 
+// AppendAssignment appends a dense assignment to dst as a 0/1 string over
+// variables 1..len(assign): the solution format of satsample's output and
+// satserved's NDJSON solution lines.
+func AppendAssignment(dst []byte, assign []bool) []byte {
+	for _, v := range assign {
+		if v {
+			dst = append(dst, '1')
+		} else {
+			dst = append(dst, '0')
+		}
+	}
+	return dst
+}
+
 // FirstUnsat returns the index of the first clause falsified by assign,
 // or -1 when the assignment is a model.
 func (f *Formula) FirstUnsat(assign []bool) int {

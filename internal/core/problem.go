@@ -28,7 +28,18 @@ type Problem struct {
 	// under (nil when unspecialized); key is then
 	// cnf.AssumeKey(formula.ContentHash(), assume). See specialize.go.
 	assume []cnf.Lit
+	// varNode is the flat var→node table delivery reads full assignments
+	// through: varNode[v-1] is CNF variable v's circuit node, or varFalse /
+	// varTrue for a variable with no node. Derived state (see derive): every
+	// construction path recomputes it, no codec carries it.
+	varNode []int32
 }
+
+// varNode entries of variables with no circuit node.
+const (
+	varFalse int32 = -1 // the nodeless default (bitblast/extract convention)
+	varTrue  int32 = -2 // nodeless, pinned true by an assumption
+)
 
 // Compile lowers a transformation result into a shareable Problem: it
 // compiles the fused engine, the bitblast verifier, and the cache tile.
@@ -44,8 +55,29 @@ func Compile(f *cnf.Formula, ext *extract.Result) (*Problem, error) {
 		verify:  ext.Verifier(f),
 		key:     f.ContentHash(),
 	}
-	p.tile = tileFor(p.eng)
+	p.derive()
 	return p, nil
+}
+
+// derive computes the state every construction path (Compile,
+// DecodeProblem, Specialize) rebuilds rather than serializes: the cache
+// tile and the var→node table. Nodeless variables are false unless an
+// assumption pins them — a pin on a variable with a node is already
+// enforced by the folded constants and constraints.
+func (p *Problem) derive() {
+	p.tile = tileFor(p.eng)
+	p.varNode = make([]int32, p.formula.NumVars)
+	for i := range p.varNode {
+		p.varNode[i] = varFalse
+	}
+	for v, id := range p.ext.NodeOf {
+		p.varNode[v-1] = int32(id)
+	}
+	for _, l := range p.assume {
+		if p.varNode[l.Var()-1] < 0 && l.Positive() {
+			p.varNode[l.Var()-1] = varTrue
+		}
+	}
 }
 
 // tileFor sizes the cache tile (rows per worker pass) so one worker's full
@@ -95,21 +127,6 @@ func (p *Problem) Tile() int { return p.tile }
 // V/momentum matrices, per-worker scratch, verifier state and dedup pool.
 func (p *Problem) NewSampler(cfg Config) (*Sampler, error) {
 	return newSession(p, cfg)
-}
-
-// AssignmentFromInputs expands a primary-input solution into a dense CNF
-// assignment (assign[v-1] = value of CNF variable v). On a specialized
-// problem, assumptions on variables without circuit support override the
-// nodeless default-false convention — everything with a node is already
-// forced by the folded constants and constraints.
-func (p *Problem) AssignmentFromInputs(sol []bool) []bool {
-	assign := p.ext.AssignmentFromInputs(p.formula.NumVars, sol)
-	for _, l := range p.assume {
-		if _, ok := p.ext.NodeOf[l.Var()]; !ok {
-			assign[l.Var()-1] = l.Positive()
-		}
-	}
-	return assign
 }
 
 // OutputWeights aggregates per-clause loss weights onto the engine's

@@ -279,8 +279,9 @@ func DecodeProblem(data []byte) (*Problem, error) {
 	}
 
 	p := &Problem{formula: f, ext: ext, eng: eng, verify: verify, key: key, assume: assume}
-	// The tile is derived state: recompute it exactly as Compile does.
-	p.tile = tileFor(eng)
+	// The tile and var→node table are derived state: recompute them
+	// exactly as Compile does.
+	p.derive()
 	return p, nil
 }
 

@@ -166,6 +166,10 @@ type Sampler struct {
 	valid  []uint64   // per-word validity masks
 	rowbuf []uint64   // one packed candidate row, for hashing/dedup
 
+	// Delivery cache: pool solutions are expanded into full assignments by
+	// group sweeps through veval between ticks (materialize.go).
+	mat materializer
+
 	// Projected-sampling state (nil projPlan = full-assignment identity).
 	// The verify sweep fills projCols with each lane's projected signature
 	// (bit r of projCols[k][r/64] is row r's value for projection variable
@@ -430,20 +434,6 @@ func (s *Sampler) ProjectedSolutionAt(i int) []bool {
 	return out
 }
 
-// FullAssignmentAt expands the i-th unique solution into a freshly
-// allocated dense CNF assignment without first copying the primary-input
-// row — the allocation-lean accessor streaming drivers iterate with
-// (indices [0, UniqueCount())).
-func (s *Sampler) FullAssignmentAt(i int) []bool {
-	return s.prob.AssignmentFromInputs(s.sols[i])
-}
-
-// FullAssignment expands a primary-input solution into a dense CNF
-// assignment (assign[v-1] = value of CNF variable v).
-func (s *Sampler) FullAssignment(sol []bool) []bool {
-	return s.prob.AssignmentFromInputs(sol)
-}
-
 // Round runs one batch round: initialize V, run Config.Iterations GD steps,
 // harden, verify, and fold new unique solutions into the pool. It returns
 // the number of new unique solutions discovered this round.
@@ -681,6 +671,7 @@ func (s *Sampler) collect() int {
 		}
 	}
 
+	s.mat.evalReused()
 	if s.projPlan != nil {
 		s.veval.VerifyProject(s.cols, words, s.valid, s.projPlan, s.projCols)
 	} else {

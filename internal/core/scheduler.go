@@ -284,6 +284,7 @@ func (s *Sampler) sweep(target int) int {
 
 	// Phase A (parallel): per-tile harden + masked wide verify + retire
 	// scan + age + compaction, each tile touching only its own words.
+	s.mat.evalReused()
 	s.runTiles(s.sweepPh)
 	s.stats.Sweeps++
 

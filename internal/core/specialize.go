@@ -87,8 +87,8 @@ func Specialize(p *Problem, assume []cnf.Lit) (*Problem, error) {
 	for _, l := range fresh {
 		id, ok := ext.NodeOf[l.Var()]
 		if !ok {
-			// No circuit support: enforced by the assignment override in
-			// AssignmentFromInputs and resolved in the verify plan below.
+			// No circuit support: enforced by the var→node table (derive)
+			// and resolved in the verify plan below.
 			continue
 		}
 		switch nodes[id].Type {
@@ -155,7 +155,7 @@ func Specialize(p *Problem, assume []cnf.Lit) (*Problem, error) {
 		key:     cnf.AssumeKey(p.formula.ContentHash(), merged),
 		assume:  merged,
 	}
-	q.tile = tileFor(q.eng)
+	q.derive()
 	return q, nil
 }
 
@@ -188,7 +188,7 @@ func specializedVerifier(f *cnf.Formula, ext *extract.Result, assume []cnf.Lit) 
 			id, ok := ext.NodeOf[v]
 			if !ok {
 				// Nodeless and unpinned: defaults to false (the
-				// bitblast.New convention shared with AssignmentFromInputs).
+				// bitblast.New convention shared with delivery).
 				if !l.Positive() {
 					sat = true
 					break

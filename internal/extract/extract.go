@@ -128,7 +128,9 @@ func (r *Result) ProjectionNodes(vars []int) []int32 {
 // AssignmentFromInputs evaluates the extracted circuit under the given
 // primary-input values (in circuit input order) and returns a dense CNF
 // assignment (assign[v-1] = value of CNF variable v) covering every
-// variable that received a node.
+// variable that received a node. It is the scalar reference the packed
+// paths are tested against: the bitblast verifier, and core's delivery,
+// which expands solutions from a packed node sweep instead.
 func (r *Result) AssignmentFromInputs(numVars int, inputs []bool) []bool {
 	vals := r.Circuit.Eval(inputs)
 	assign := make([]bool, numVars)

@@ -16,6 +16,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"time"
 
 	"repro/internal/baselines"
@@ -424,14 +425,17 @@ type ScaleArm struct {
 
 // ScaleRow is the multi-core scaling curve for one instance: identical
 // fixed-batch sessions over one compiled problem, one arm per worker
-// count. Identical reports whether every arm that reached the target
-// produced the same unique-solution count — the observable face of the
-// scheduler's bit-identical-stream invariant.
+// count. Identical reports whether, in every repeat, all arms delivered the
+// same solutions in the same order over their common prefix (the first
+// min-over-arms solutions) — the scheduler's bit-identical-stream
+// invariant, checked on every arm whether or not it reached the target.
+// Prefix is the shortest common prefix a repeat compared.
 type ScaleRow struct {
 	Instance  string
 	Batch     int
 	Arms      []ScaleArm
 	Identical bool
+	Prefix    int
 }
 
 // RunScale measures the parallel tick's scaling on the given instances
@@ -465,8 +469,7 @@ func RunScale(ctx context.Context, instances []*benchgen.Instance, workers []int
 		}
 		for rep := 0; rep < repeats; rep++ {
 			seed := opt.Seed + int64(rep)
-			uniq := make([]int, len(workers))
-			allHit := true
+			var streams [][]uint64
 			for i, w := range workers {
 				if ctx.Err() != nil {
 					break
@@ -477,28 +480,23 @@ func RunScale(ctx context.Context, instances []*benchgen.Instance, workers []int
 				cfg.Seed = seed
 				s, serr := p.NewSession(cfg)
 				if serr != nil {
-					allHit = false
 					continue
 				}
 				st := sampleOnce(ctx, s, opt.Target, opt.Timeout)
-				uniq[i] = st.Unique
-				if st.Unique < opt.Target {
-					allHit = false
-				}
+				streams = append(streams, streamDigests(s))
 				if tp := st.Throughput(); tp > row.Arms[i].SolS {
 					row.Arms[i].SolS = tp
 					row.Arms[i].Unique = st.Unique
 					row.Arms[i].Iters = s.Core().Stats().Iterations
 				}
 			}
-			// Unique counts are only comparable when every arm sampled the
-			// same deterministic prefix, i.e. all of them reached the target.
-			if allHit {
-				for i := 1; i < len(uniq); i++ {
-					if uniq[i] != uniq[0] {
-						row.Identical = false
-					}
-				}
+			// Each arm's stream is a prefix of the seed's one deterministic
+			// stream, wherever its timeout cut it (all arms steer by the same
+			// target), so the common prefix must agree solution by solution.
+			n, same := commonPrefix(streams)
+			row.Identical = row.Identical && same
+			if rep == 0 || n < row.Prefix {
+				row.Prefix = n
 			}
 		}
 		if ref := row.Arms[0].SolS; ref > 0 {
@@ -509,6 +507,42 @@ func RunScale(ctx context.Context, instances []*benchgen.Instance, workers []int
 		rows = append(rows, row)
 	}
 	return rows
+}
+
+// streamDigests hashes a session's solutions in delivery order, each as
+// the full CNF assignment the delivery path materializes.
+func streamDigests(s *sampling.Session) []uint64 {
+	c := s.Core()
+	out := make([]uint64, c.UniqueCount())
+	h := fnv.New64a()
+	var line []byte
+	for i := range out {
+		line = cnf.AppendAssignment(line[:0], c.FullAssignmentAt(i))
+		h.Reset()
+		h.Write(line)
+		out[i] = h.Sum64()
+	}
+	return out
+}
+
+// commonPrefix returns the length of the shortest stream and whether every
+// stream agrees with the first over that many solutions, in order.
+func commonPrefix(streams [][]uint64) (int, bool) {
+	if len(streams) == 0 {
+		return 0, true
+	}
+	n := len(streams[0])
+	for _, st := range streams[1:] {
+		n = min(n, len(st))
+	}
+	for _, st := range streams[1:] {
+		for i := 0; i < n; i++ {
+			if st[i] != streams[0][i] {
+				return n, false
+			}
+		}
+	}
+	return n, true
 }
 
 // CacheRow measures the durable compile tier on one instance: the cold

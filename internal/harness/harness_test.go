@@ -227,3 +227,41 @@ func TestCoreSessionErrorPath(t *testing.T) {
 		t.Error("expected error for empty formula")
 	}
 }
+
+// TestCommonPrefix pins the -checkscale identity rule: streams agree when
+// every arm matches the first over the shortest arm's length, in order;
+// a longer arm's extra solutions are not compared.
+func TestCommonPrefix(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		streams [][]uint64
+		n       int
+		same    bool
+	}{
+		{"none", nil, 0, true},
+		{"equal", [][]uint64{{1, 2, 3}, {1, 2, 3}}, 3, true},
+		{"prefix", [][]uint64{{1, 2, 3}, {1, 2}, {1, 2, 3, 4}}, 2, true},
+		{"reordered", [][]uint64{{1, 2, 3}, {2, 1, 3}}, 3, false},
+		{"diverged-in-prefix", [][]uint64{{1, 2}, {1, 2, 3}, {1, 5, 3}}, 2, false},
+		{"empty-arm", [][]uint64{{1, 2}, {}}, 0, true},
+	} {
+		n, same := commonPrefix(c.streams)
+		if n != c.n || same != c.same {
+			t.Errorf("%s: commonPrefix = (%d, %v), want (%d, %v)", c.name, n, same, c.n, c.same)
+		}
+	}
+}
+
+// TestRunScaleComparesStreams runs the scale experiment on a small instance
+// with a target the arms overshoot: identity must hold over a non-empty
+// compared prefix.
+func TestRunScaleComparesStreams(t *testing.T) {
+	opt := fastOpts()
+	rows := RunScale(context.Background(), benchgen.SmallSuite()[:1], []int{1, 3}, 1, opt)
+	if len(rows) != 1 {
+		t.Fatalf("%d rows, want 1", len(rows))
+	}
+	if r := rows[0]; !r.Identical || r.Prefix < opt.Target {
+		t.Fatalf("row %+v: want identical streams over at least %d solutions", r, opt.Target)
+	}
+}

@@ -156,7 +156,7 @@ func RenderScale(w io.Writer, rows []ScaleRow) {
 		for _, a := range r.Arms {
 			fmt.Fprintf(w, " | %15s %6.2fx", humanRate(a.SolS), a.Speedup)
 		}
-		ident := "identical"
+		ident := fmt.Sprintf("identical (first %d)", r.Prefix)
 		if !r.Identical {
 			ident = "DIVERGED"
 		}

@@ -335,7 +335,8 @@ func (s *Session) yieldRequested() bool {
 
 // flush streams solutions discovered since the last flush. Each delivery
 // allocates only the full assignment handed to the sink — the pool's
-// primary-input rows are expanded in place, never copied.
+// primary-input rows are expanded in place by the core sampler's group
+// sweep (up to 256 solutions per packed node sweep), never copied.
 func (s *Session) flush(sink Sink) error {
 	if sink == nil {
 		return nil

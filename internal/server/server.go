@@ -521,13 +521,6 @@ type metaLine struct {
 	QueueMS       float64 `json:"queue_ms"`
 }
 
-// solutionLine carries one verified solution as a 0/1 string over CNF
-// variables 1..N.
-type solutionLine struct {
-	Type       string `json:"type"` // "solution"
-	Assignment string `json:"assignment"`
-}
-
 // doneLine closes every stream, successful or drained. Under a projection
 // ProjectedVars is non-zero and Unique/Delivered count projected-distinct
 // solutions (each streamed assignment is a full-model witness of one
@@ -993,9 +986,14 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	// Delivery is counted on the session (not this request) so a resumed
 	// stream's earlier deliveries count toward its target.
 	delivered := 0
+	var line []byte // one solution line, reused across the stream
 	sink := func(sol []bool) error {
-		if err := writeLine(solutionLine{Type: "solution", Assignment: bitString(sol)}); err != nil {
+		line = appendSolutionLine(line[:0], sol)
+		if _, err := w.Write(line); err != nil {
 			return err
+		}
+		if flusher != nil {
+			flusher.Flush()
 		}
 		delivered++
 		s.met.addSolutions(1, projVars > 0, time.Now())
@@ -1175,17 +1173,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		spoolEntries, spoolBytes, spoolEvictions, spoolCorrupt)
 }
 
-// bitString renders a dense assignment as the CLI-compatible 0/1 string.
-func bitString(sol []bool) string {
-	b := make([]byte, len(sol))
-	for i, v := range sol {
-		if v {
-			b[i] = '1'
-		} else {
-			b[i] = '0'
-		}
-	}
-	return string(b)
+// appendSolutionLine appends sol's NDJSON solution line to dst: byte for
+// byte what json.Encoder writes for {"type":"solution","assignment":<the
+// 0/1 string>}, since '0' and '1' never need escaping.
+func appendSolutionLine(dst []byte, sol []bool) []byte {
+	dst = append(dst, `{"type":"solution","assignment":"`...)
+	dst = cnf.AppendAssignment(dst, sol)
+	return append(dst, "\"}\n"...)
 }
 
 // short abbreviates a content-hash key for logs.
