@@ -176,7 +176,11 @@ func run() (err error) {
 	var s sampling.Sampler
 	alreadyDelivered := 0
 	if ck != nil {
-		sess, rerr := sampling.RestoreSession(ck, dev)
+		prob, rerr := sampling.NewCompiler(1).CompileAssume(ck.Formula(), ck.Assumptions())
+		if rerr != nil {
+			return rerr
+		}
+		sess, rerr := prob.RestoreSession(ck, dev)
 		if rerr != nil {
 			return rerr
 		}

@@ -22,7 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/extract"
 	"repro/internal/logic"
-	"repro/internal/metrics"
+	"repro/internal/quality"
 	"repro/internal/tensor"
 )
 
@@ -69,14 +69,22 @@ func main() {
 	timeout := 20 * time.Second
 
 	audit := func(name string, draw func() [][]bool) {
-		h := metrics.NewHistogram(nInputs)
-		sols := draw()
-		for _, s := range sols {
-			h.Add(s)
+		// Per-solution counts, in first-seen order.
+		idx := map[string]int{}
+		var hits []int
+		for _, s := range draw() {
+			k := fmt.Sprint(s)
+			i, ok := idx[k]
+			if !ok {
+				i = len(hits)
+				idx[k] = i
+				hits = append(hits, 0)
+			}
+			hits[i]++
 		}
-		chi, dof := h.ChiSquare(space)
-		fmt.Printf("%-14s distinct=%-5d coverage=%5.1f%%  chi2/dof=%6.2f  KL=%5.3f bits\n",
-			name, h.Distinct(), 100*h.Coverage(space), chi/float64(dof), h.KLFromUniform(space))
+		r := quality.Evaluate(hits, space)
+		fmt.Printf("%-14s distinct=%-5d coverage=%5.1f%%  chi2/dof=%6.2f  p=%.3g\n",
+			name, r.Distinct, 100*r.Coverage, r.ChiSquare/float64(r.DoF), r.P)
 	}
 
 	// This work: unique solutions only (the sampler dedupes), so the audit
@@ -116,5 +124,6 @@ func main() {
 	})
 
 	fmt.Println("\n(all samplers deduplicate, so chi2 reflects coverage balance over the")
-	fmt.Println(" observed support; a uniform sampler approaches 100% coverage with KL→0)")
+	fmt.Println(" observed support; a uniform sampler approaches 100% coverage and p is")
+	fmt.Println(" the chance a uniform sampler would look at least this skewed)")
 }

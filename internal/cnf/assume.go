@@ -126,6 +126,27 @@ func AssumeKey(baseKey string, assume []Lit) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// CheckAssumeKey re-checks an assumption list and key read back from a
+// stored artifact against the formula stored with it: the list must be
+// valid for numVars and already canonical (strictly ascending variables;
+// a decoder must not "fix" it, because the key hashes exactly what the
+// writer canonicalized), and AssumeKey(baseKey, assume) must equal key.
+// With no assumptions this is a plain content-hash comparison.
+func CheckAssumeKey(numVars int, baseKey string, assume []Lit, key string) error {
+	if err := ValidateAssumptions(numVars, assume); err != nil {
+		return err
+	}
+	for i := 1; i < len(assume); i++ {
+		if assume[i].Var() <= assume[i-1].Var() {
+			return fmt.Errorf("cnf: assumption list not canonical at entry %d", i)
+		}
+	}
+	if h := AssumeKey(baseKey, assume); h != key {
+		return fmt.Errorf("cnf: embedded content hashes to %.12s, key says %.12s", h, key)
+	}
+	return nil
+}
+
 // Condition returns f conditioned on the assumptions: clauses satisfied by
 // a pinned literal are dropped, falsified literals are removed from the
 // remaining clauses, and one unit clause per assumption is appended so the

@@ -1,13 +1,11 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"math"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/tensor"
 )
 
@@ -39,11 +37,9 @@ import (
 // per-sweep retirement flags, the per-worker value/adjoint tiles — is NOT
 // captured: every tick rebuilds it from scratch before reading it.
 //
-// The codec is a versioned, length-prefixed little-endian binary format
+// The codec ("GDSS", internal/codec framing with a CRC-32 trailer) is
 // keyed by the Problem's content hash: a snapshot only restores onto the
-// identical compiled artifact (same formula, same projection identity).
-// Every length field is bounds-checked against the remaining input before
-// allocation and the whole payload is covered by a trailing CRC32, so a
+// identical compiled artifact (same formula, same projection identity). A
 // truncated or corrupted snapshot yields a clean error — never a panic,
 // never a half-restored session (FuzzDecodeSnapshot guards this).
 
@@ -51,9 +47,6 @@ import (
 // any other version: a checkpoint outlives the process that wrote it, so
 // silent cross-version reinterpretation is never acceptable.
 const SnapshotVersion = 1
-
-// snapshotMagic opens every encoded snapshot.
-var snapshotMagic = [4]byte{'G', 'D', 'S', 'S'}
 
 // ErrBadSnapshot is wrapped by every snapshot decode/restore failure, so
 // callers can map "this token is garbage" to a clean client error without
@@ -489,57 +482,14 @@ const (
 	snapFlagProjection
 )
 
-// snapEnc is a little append-based encoder; all multi-byte values are
-// little-endian. Bulk array sections reserve their bytes in one grow and
-// fill in place, so encoding cost is bounded by memory bandwidth, not
-// per-element append overhead.
-type snapEnc struct{ buf []byte }
-
-func (e *snapEnc) u8(v uint8)    { e.buf = append(e.buf, v) }
-func (e *snapEnc) u16(v uint16)  { e.buf = binary.LittleEndian.AppendUint16(e.buf, v) }
-func (e *snapEnc) u32(v uint32)  { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-func (e *snapEnc) u64(v uint64)  { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *snapEnc) f32(v float32) { e.u32(math.Float32bits(v)) }
-func (e *snapEnc) f64(v float64) { e.u64(math.Float64bits(v)) }
-func (e *snapEnc) str(s string) {
-	e.u16(uint16(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-// grow reserves n zeroed-or-overwritten bytes and returns them for
-// in-place filling.
-func (e *snapEnc) grow(n int) []byte {
-	off := len(e.buf)
-	if cap(e.buf)-off < n {
-		e.buf = append(e.buf, make([]byte, n)...)
-	} else {
-		e.buf = e.buf[:off+n]
-	}
-	return e.buf[off : off+n]
-}
-
-func (e *snapEnc) f32s(vs []float32) {
-	e.u32(uint32(len(vs)))
-	raw := e.grow(4 * len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(v))
-	}
-}
-
-func (e *snapEnc) u64s(vs []uint64) {
-	e.u32(uint32(len(vs)))
-	raw := e.grow(8 * len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint64(raw[8*i:], v)
-	}
-}
-
-func (e *snapEnc) i32s(vs []int32) {
-	e.u32(uint32(len(vs)))
-	raw := e.grow(4 * len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint32(raw[4*i:], uint32(v))
-	}
+// snapshotFormat frames every encoded snapshot: "GDSS", one version, a
+// CRC-32 trailer.
+var snapshotFormat = codec.Format{
+	Magic:      [4]byte{'G', 'D', 'S', 'S'},
+	Trailer:    codec.CRC32,
+	MinVersion: SnapshotVersion,
+	MaxVersion: SnapshotVersion,
+	Err:        ErrBadSnapshot,
 }
 
 // MarshalBinary encodes the snapshot in the versioned binary format. The
@@ -556,20 +506,17 @@ func (sn *Snapshot) MarshalBinary() ([]byte, error) {
 		8*len(sn.ages) + 4*len(sn.active) +
 		8*(len(sn.cols)+len(sn.valid)+len(sn.changed)+len(sn.projCols)) +
 		sn.nsols*(rowBytes+12) + 8*len(sn.psigs)
-	e := &snapEnc{buf: make([]byte, 0, est)}
-
-	e.buf = append(e.buf, snapshotMagic[:]...)
-	e.u16(SnapshotVersion)
-	e.str(sn.key)
-	e.u32(uint32(sn.batch))
-	e.u32(uint32(sn.iterations))
-	e.u32(uint32(sn.maxAge))
-	e.f32(sn.lr)
-	e.f32(sn.initRange)
-	e.f32(sn.momentum)
-	e.u64(uint64(sn.seed))
-	e.u32(uint32(sn.workers))
-	e.u32(uint32(n))
+	e := snapshotFormat.Encoder(SnapshotVersion, est)
+	e.Str(sn.key)
+	e.U32(uint32(sn.batch))
+	e.U32(uint32(sn.iterations))
+	e.U32(uint32(sn.maxAge))
+	e.F32(sn.lr)
+	e.F32(sn.initRange)
+	e.F32(sn.momentum)
+	e.U64(uint64(sn.seed))
+	e.U32(uint32(sn.workers))
+	e.U32(uint32(n))
 	var flags uint8
 	if sn.roundMode {
 		flags |= snapFlagRoundMode
@@ -586,182 +533,52 @@ func (sn *Snapshot) MarshalBinary() ([]byte, error) {
 	if sn.hasProj {
 		flags |= snapFlagProjection
 	}
-	e.u8(flags)
+	e.U8(flags)
 	if sn.hasProj {
-		e.u32(uint32(len(sn.projection)))
-		for _, v := range sn.projection {
-			e.u32(uint32(v))
-		}
+		codec.PutI32s(e, sn.projection)
 	}
-	e.u32(uint32(len(sn.clauseWeights)))
+	e.U32(uint32(len(sn.clauseWeights)))
 	for _, w := range sn.clauseWeights {
-		e.f64(w)
+		e.F64(w)
 	}
-	e.u64(uint64(sn.round))
+	e.U64(uint64(sn.round))
 	st := sn.stats
-	e.u64(uint64(st.Rounds))
-	e.u64(uint64(st.Iterations))
-	e.u64(uint64(st.Sweeps))
-	e.u64(uint64(st.Candidates))
-	e.u64(uint64(st.Valid))
-	e.u64(uint64(st.Unique))
-	e.u64(uint64(st.Retired))
-	e.u64(uint64(st.Stalled))
-	e.u64(uint64(st.Elapsed.Nanoseconds()))
-	e.f64(st.FinalLoss)
+	e.U64(uint64(st.Rounds))
+	e.U64(uint64(st.Iterations))
+	e.U64(uint64(st.Sweeps))
+	e.U64(uint64(st.Candidates))
+	e.U64(uint64(st.Valid))
+	e.U64(uint64(st.Unique))
+	e.U64(uint64(st.Retired))
+	e.U64(uint64(st.Stalled))
+	e.U64(uint64(st.Elapsed.Nanoseconds()))
+	e.F64(st.FinalLoss)
 
-	e.f32s(sn.vdata)
+	e.F32s(sn.vdata)
 	if sn.mdata != nil {
-		e.f32s(sn.mdata)
+		e.F32s(sn.mdata)
 	}
 	if sn.contReady {
-		e.i32s(sn.ages)
-		e.u32(uint32(len(sn.restarts)))
-		raw := e.grow(4 * len(sn.restarts))
-		for i, r := range sn.restarts {
-			binary.LittleEndian.PutUint32(raw[4*i:], r)
-		}
-		e.i32s(sn.active)
-		e.u64(uint64(sn.staleRet))
-		e.u64s(sn.cols)
-		e.u64s(sn.valid)
-		e.u64s(sn.changed)
+		codec.PutI32s(e, sn.ages)
+		codec.PutI32s(e, sn.restarts)
+		codec.PutI32s(e, sn.active)
+		e.U64(uint64(sn.staleRet))
+		e.U64s(sn.cols)
+		e.U64s(sn.valid)
+		e.U64s(sn.changed)
 		if sn.hasProj {
-			e.u64s(sn.projCols)
+			e.U64s(sn.projCols)
 		}
 	}
 
-	e.u32(uint32(sn.nsols))
-	copy(e.grow(len(sn.solPacked)), sn.solPacked)
-	e.i32s(sn.hits)
-	e.u64s(sn.hashes)
+	e.U32(uint32(sn.nsols))
+	copy(e.Grow(len(sn.solPacked)), sn.solPacked)
+	codec.PutI32s(e, sn.hits)
+	e.U64s(sn.hashes)
 	if sn.hasProj {
-		e.u64s(sn.psigs)
+		e.U64s(sn.psigs)
 	}
-
-	e.u32(crc32.ChecksumIEEE(e.buf))
-	return e.buf, nil
-}
-
-// snapDec decodes the binary format with sticky bounds-checked reads:
-// after any failed read, every subsequent read reports zero and err is
-// set, so decode paths need only one error check at natural boundaries.
-// base selects the sentinel failures wrap (nil = ErrBadSnapshot); the
-// problem codec shares the decoder under ErrBadProblem.
-type snapDec struct {
-	buf  []byte
-	off  int
-	err  error
-	base error
-}
-
-func (d *snapDec) fail(format string, args ...any) {
-	if d.err == nil {
-		base := d.base
-		if base == nil {
-			base = ErrBadSnapshot
-		}
-		d.err = fmt.Errorf("%w: "+format, append([]any{base}, args...)...)
-	}
-}
-
-func (d *snapDec) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || d.off+n > len(d.buf) {
-		d.fail("truncated at offset %d (want %d more bytes)", d.off, n)
-		return nil
-	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *snapDec) u8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-func (d *snapDec) u16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-func (d *snapDec) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-func (d *snapDec) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-func (d *snapDec) f32() float32 { return math.Float32frombits(d.u32()) }
-func (d *snapDec) f64() float64 { return math.Float64frombits(d.u64()) }
-func (d *snapDec) str() string  { return string(d.take(int(d.u16()))) }
-
-// count reads a u32 element count and checks that `count × elemBytes` more
-// input actually exists before the caller allocates for it — a corrupted
-// length field must produce an error, not a multi-gigabyte allocation.
-func (d *snapDec) count(elemBytes int, what string) int {
-	n := int(d.u32())
-	if d.err != nil {
-		return 0
-	}
-	if n < 0 || n > (len(d.buf)-d.off)/elemBytes {
-		d.fail("%s count %d exceeds remaining input", what, n)
-		return 0
-	}
-	return n
-}
-
-func (d *snapDec) f32s(what string) []float32 {
-	n := d.count(4, what)
-	raw := d.take(4 * n)
-	if d.err != nil {
-		return nil
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
-	}
-	return out
-}
-
-func (d *snapDec) u64s(what string) []uint64 {
-	n := d.count(8, what)
-	raw := d.take(8 * n)
-	if d.err != nil {
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(raw[8*i:])
-	}
-	return out
-}
-
-func (d *snapDec) i32s(what string) []int32 {
-	n := d.count(4, what)
-	raw := d.take(4 * n)
-	if d.err != nil {
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
-	}
-	return out
+	return e.Seal(), nil
 }
 
 // DecodeSnapshot parses and validates an encoded snapshot. It never
@@ -770,34 +587,24 @@ func (d *snapDec) i32s(what string) []int32 {
 // The returned Snapshot aliases data's pool section — the caller must not
 // mutate data while the Snapshot (or a session restored from it) is live.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	if len(data) < len(snapshotMagic)+2+4 {
-		return nil, fmt.Errorf("%w: %d bytes is too short", ErrBadSnapshot, len(data))
-	}
-	if string(data[:4]) != string(snapshotMagic[:]) {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
-	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(tail); got != want {
-		return nil, fmt.Errorf("%w: checksum mismatch (corrupted or truncated)", ErrBadSnapshot)
-	}
-	d := &snapDec{buf: body, off: 4}
-	if v := d.u16(); v != SnapshotVersion {
-		return nil, fmt.Errorf("%w: version %d (this build reads version %d)", ErrBadSnapshot, v, SnapshotVersion)
+	d, _, err := snapshotFormat.Open(data)
+	if err != nil {
+		return nil, err
 	}
 	sn := &Snapshot{}
-	sn.key = d.str()
-	sn.batch = int(d.u32())
-	sn.iterations = int(d.u32())
-	sn.maxAge = int(d.u32())
-	sn.lr = d.f32()
-	sn.initRange = d.f32()
-	sn.momentum = d.f32()
-	sn.seed = int64(d.u64())
-	sn.workers = int(d.u32())
-	sn.numInputs = int(d.u32())
-	flags := d.u8()
-	if d.err != nil {
-		return nil, d.err
+	sn.key = d.Str()
+	sn.batch = int(d.U32())
+	sn.iterations = int(d.U32())
+	sn.maxAge = int(d.U32())
+	sn.lr = d.F32()
+	sn.initRange = d.F32()
+	sn.momentum = d.F32()
+	sn.seed = int64(d.U64())
+	sn.workers = int(d.U32())
+	sn.numInputs = int(d.U32())
+	flags := d.U8()
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	sn.roundMode = flags&snapFlagRoundMode != 0
 	sn.contReady = flags&snapFlagContReady != 0
@@ -813,72 +620,54 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	}
 
 	if sn.hasProj {
-		np := d.count(4, "projection")
-		if np == 0 && d.err == nil {
-			d.fail("projection flag set with zero variables")
-		}
-		sn.projection = make([]int, np)
-		for i := range sn.projection {
-			sn.projection[i] = int(d.u32())
+		sn.projection = codec.I32s[int](d, "projection")
+		if len(sn.projection) == 0 {
+			d.Fail("projection flag set with zero variables")
 		}
 	}
-	ncw := d.count(8, "clause weights")
-	if ncw > 0 {
+	if ncw := d.Count(8, "clause weights"); ncw > 0 {
 		sn.clauseWeights = make([]float64, ncw)
 		for i := range sn.clauseWeights {
-			sn.clauseWeights[i] = d.f64()
+			sn.clauseWeights[i] = d.F64()
 		}
 	}
-	sn.round = int64(d.u64())
-	sn.stats.Rounds = int(d.u64())
-	sn.stats.Iterations = int(d.u64())
-	sn.stats.Sweeps = int(d.u64())
-	sn.stats.Candidates = int(d.u64())
-	sn.stats.Valid = int(d.u64())
-	sn.stats.Unique = int(d.u64())
-	sn.stats.Retired = int(d.u64())
-	sn.stats.Stalled = int(d.u64())
-	sn.stats.Elapsed = time.Duration(d.u64())
-	sn.stats.FinalLoss = d.f64()
-	if d.err != nil {
-		return nil, d.err
-	}
+	sn.round = int64(d.U64())
+	sn.stats.Rounds = int(d.U64())
+	sn.stats.Iterations = int(d.U64())
+	sn.stats.Sweeps = int(d.U64())
+	sn.stats.Candidates = int(d.U64())
+	sn.stats.Valid = int(d.U64())
+	sn.stats.Unique = int(d.U64())
+	sn.stats.Retired = int(d.U64())
+	sn.stats.Stalled = int(d.U64())
+	sn.stats.Elapsed = time.Duration(d.U64())
+	sn.stats.FinalLoss = d.F64()
 
 	words := (sn.batch + 63) / 64
-	sn.vdata = d.f32s("V data")
-	if d.err == nil && len(sn.vdata) != sn.batch*sn.numInputs {
-		d.fail("V data has %d values for batch %d × %d inputs", len(sn.vdata), sn.batch, sn.numInputs)
+	sn.vdata = d.F32s("V data")
+	if d.Err() == nil && len(sn.vdata) != sn.batch*sn.numInputs {
+		d.Fail("V data has %d values for batch %d × %d inputs", len(sn.vdata), sn.batch, sn.numInputs)
 	}
 	if flags&snapFlagMomentum != 0 {
-		sn.mdata = d.f32s("momentum data")
-		if d.err == nil && len(sn.mdata) != len(sn.vdata) {
-			d.fail("momentum data has %d values, want %d", len(sn.mdata), len(sn.vdata))
+		sn.mdata = d.F32s("momentum data")
+		if d.Err() == nil && len(sn.mdata) != len(sn.vdata) {
+			d.Fail("momentum data has %d values, want %d", len(sn.mdata), len(sn.vdata))
 		}
-	}
-	if d.err != nil {
-		return nil, d.err
 	}
 
 	if sn.contReady {
-		sn.ages = d.i32s("row ages")
-		nr := d.count(4, "restart counters")
-		raw := d.take(4 * nr)
-		if d.err == nil {
-			sn.restarts = make([]uint32, nr)
-			for i := range sn.restarts {
-				sn.restarts[i] = binary.LittleEndian.Uint32(raw[4*i:])
-			}
-		}
-		sn.active = d.i32s("active tiles")
-		sn.staleRet = int(d.u64())
-		sn.cols = d.u64s("packed columns")
-		sn.valid = d.u64s("validity masks")
-		sn.changed = d.u64s("changed flags")
+		sn.ages = codec.I32s[int32](d, "row ages")
+		sn.restarts = codec.I32s[uint32](d, "restart counters")
+		sn.active = codec.I32s[int32](d, "active tiles")
+		sn.staleRet = int(d.U64())
+		sn.cols = d.U64s("packed columns")
+		sn.valid = d.U64s("validity masks")
+		sn.changed = d.U64s("changed flags")
 		if sn.hasProj {
-			sn.projCols = d.u64s("projected columns")
+			sn.projCols = d.U64s("projected columns")
 		}
-		if d.err != nil {
-			return nil, d.err
+		if d.Err() != nil {
+			return nil, d.Err()
 		}
 		if len(sn.ages) != sn.batch || len(sn.restarts) != sn.batch {
 			return nil, fmt.Errorf("%w: scheduler rows (%d ages, %d restarts) for batch %d", ErrBadSnapshot, len(sn.ages), len(sn.restarts), sn.batch)
@@ -892,36 +681,26 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	}
 
 	rowBytes := (sn.numInputs + 7) / 8
-	nsols := d.count(rowBytes+12, "solutions")
-	if d.err == nil && nsols != sn.stats.Unique {
-		d.fail("pool holds %d solutions, stats report %d", nsols, sn.stats.Unique)
-	}
-	if d.err != nil {
-		return nil, d.err
+	nsols := d.Count(rowBytes+12, "solutions")
+	if d.Err() == nil && nsols != sn.stats.Unique {
+		d.Fail("pool holds %d solutions, stats report %d", nsols, sn.stats.Unique)
 	}
 	sn.nsols = nsols
-	raw := d.take(nsols * rowBytes)
-	if d.err != nil {
-		return nil, d.err
-	}
-	sn.solPacked = raw // aliases data; see DecodeSnapshot's doc comment
-	sn.hits = d.i32s("hit tallies")
-	sn.hashes = d.u64s("dedup hashes")
-	if d.err == nil && (len(sn.hits) != nsols || len(sn.hashes) != nsols) {
-		d.fail("pool arrays (%d hits, %d hashes) for %d solutions", len(sn.hits), len(sn.hashes), nsols)
+	sn.solPacked = d.Take(nsols * rowBytes) // aliases data; see the doc comment
+	sn.hits = codec.I32s[int32](d, "hit tallies")
+	sn.hashes = d.U64s("dedup hashes")
+	if d.Err() == nil && (len(sn.hits) != nsols || len(sn.hashes) != nsols) {
+		d.Fail("pool arrays (%d hits, %d hashes) for %d solutions", len(sn.hits), len(sn.hashes), nsols)
 	}
 	if sn.hasProj {
 		sigWords := (len(sn.projection) + 63) / 64
-		sn.psigs = d.u64s("projected signatures")
-		if d.err == nil && len(sn.psigs) != nsols*sigWords {
-			d.fail("projected signatures hold %d words for %d solutions × %d words", len(sn.psigs), nsols, sigWords)
+		sn.psigs = d.U64s("projected signatures")
+		if d.Err() == nil && len(sn.psigs) != nsols*sigWords {
+			d.Fail("projected signatures hold %d words for %d solutions × %d words", len(sn.psigs), nsols, sigWords)
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, len(body)-d.off)
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
 	return sn, nil
 }

@@ -10,18 +10,18 @@ package sampling
 // embedded text when cold), restore, and the stream continues at exactly
 // the next undelivered solution.
 //
-// Envelope ("GDSC", little-endian, length-prefixed):
+// Envelope ("GDSC", framed by internal/codec with a SHA-256 trailer):
 //
-//	magic "GDSC" | u16 version | str name | u64 delivered | u32 stale
-//	| str formula (DIMACS) | [v2: bytes assumptions] | bytes core snapshot
-//	| sha256 digest
+//	magic "GDSC" | u16 version | bytes name | u64 delivered | u32 stale
+//	| bytes formula (DIMACS) | [v2: u32 byte length + i32 assumptions]
+//	| bytes core snapshot | sha256 digest
 //
-// where str/bytes are u32 length + payload. Version 1 is the
+// where bytes is a u32 length + payload. Version 1 is the
 // assumption-free envelope; version 2 adds the session's assumption
-// literals (i32 each) between the formula and the snapshot and is only
-// written when the session's problem carries assumptions, so every
-// unassumed checkpoint stays a version-1 envelope older readers accept.
-// The trailing SHA-256 covers every preceding byte, so any truncation or
+// literals between the formula and the snapshot and is only written when
+// the session's problem carries assumptions, so every unassumed
+// checkpoint stays a version-1 envelope older readers accept. The
+// trailing SHA-256 covers every preceding byte, so any truncation or
 // flip — including inside the embedded core blob, which carries its own
 // CRC — is rejected before any field is interpreted. Decoding never
 // panics; every failure wraps ErrBadCheckpoint. Encoding is canonical:
@@ -29,12 +29,11 @@ package sampling
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"repro/internal/cnf"
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/tensor"
 )
@@ -52,7 +51,13 @@ const checkpointVersionBase = 1
 // restore attempts against the wrong problem.
 var ErrBadCheckpoint = errors.New("sampling: bad checkpoint")
 
-var checkpointMagic = [4]byte{'G', 'D', 'S', 'C'}
+var checkpointFormat = codec.Format{
+	Magic:      [4]byte{'G', 'D', 'S', 'C'},
+	Trailer:    codec.SHA256,
+	MinVersion: checkpointVersionBase,
+	MaxVersion: CheckpointVersion,
+	Err:        ErrBadCheckpoint,
+}
 
 // Checkpoint is a decoded session checkpoint: the formula, the core
 // sampler snapshot, and the stream cursor. It is immutable once decoded.
@@ -111,35 +116,17 @@ func (s *Session) Checkpoint() ([]byte, error) {
 	if len(assume) > 0 {
 		version = CheckpointVersion
 	}
-	n := 4 + 2 + // magic, version
-		4 + len(s.name) +
-		8 + 4 + // delivered, stale
-		4 + len(text) +
-		4 + 4*len(assume) +
-		4 + len(blob) +
-		sha256.Size
-	buf := make([]byte, 0, n)
-	buf = append(buf, checkpointMagic[:]...)
-	buf = binary.LittleEndian.AppendUint16(buf, version)
-	buf = appendBlock(buf, []byte(s.name))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.delivered))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.stale))
-	buf = appendBlock(buf, []byte(text))
+	e := checkpointFormat.Encoder(version, 36+len(s.name)+len(text)+4*len(assume)+len(blob))
+	e.Bytes32([]byte(s.name))
+	e.U64(uint64(s.delivered))
+	e.U32(uint32(s.stale))
+	e.Bytes32([]byte(text))
 	if len(assume) > 0 {
-		lits := make([]byte, 4*len(assume))
-		for i, l := range assume {
-			binary.LittleEndian.PutUint32(lits[4*i:], uint32(int32(l)))
-		}
-		buf = appendBlock(buf, lits)
+		e.U32(uint32(4 * len(assume)))
+		codec.AppendI32s(e, assume)
 	}
-	buf = appendBlock(buf, blob)
-	sum := sha256.Sum256(buf)
-	return append(buf, sum[:]...), nil
-}
-
-func appendBlock(buf, payload []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	return append(buf, payload...)
+	e.Bytes32(blob)
+	return e.Seal(), nil
 }
 
 // DecodeCheckpoint parses and fully validates a checkpoint envelope: the
@@ -150,57 +137,25 @@ func appendBlock(buf, payload []byte) []byte {
 // never panics on arbitrary input, and it does not retain data — the
 // returned Checkpoint owns all its memory.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	const minLen = 4 + 2 + 4 + 8 + 4 + 4 + 4 + sha256.Size
-	if len(data) < minLen {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than any envelope", ErrBadCheckpoint, len(data))
-	}
-	body, digest := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
-	if sum := sha256.Sum256(body); [sha256.Size]byte(digest) != sum {
-		return nil, fmt.Errorf("%w: digest mismatch (truncated or corrupted envelope)", ErrBadCheckpoint)
-	}
-	if [4]byte(body[:4]) != checkpointMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadCheckpoint)
-	}
-	version := binary.LittleEndian.Uint16(body[4:6])
-	if version != checkpointVersionBase && version != CheckpointVersion {
-		return nil, fmt.Errorf("%w: version %d (this build reads versions %d-%d)", ErrBadCheckpoint, version, checkpointVersionBase, CheckpointVersion)
-	}
-	rest := body[6:]
-	name, rest, err := takeBlock(rest, "session name")
+	d, version, err := checkpointFormat.Open(data)
 	if err != nil {
 		return nil, err
 	}
-	if len(rest) < 12 {
-		return nil, fmt.Errorf("%w: truncated cursor fields", ErrBadCheckpoint)
-	}
-	delivered := binary.LittleEndian.Uint64(rest)
-	stale := binary.LittleEndian.Uint32(rest[8:])
-	rest = rest[12:]
-	text, rest, err := takeBlock(rest, "formula")
-	if err != nil {
-		return nil, err
-	}
+	name := d.Bytes32("session name")
+	delivered := d.U64()
+	stale := d.U32()
+	text := d.Bytes32("formula")
 	var assume []cnf.Lit
 	if version == CheckpointVersion {
-		raw, r, err := takeBlock(rest, "assumptions")
-		if err != nil {
-			return nil, err
-		}
-		rest = r
-		if len(raw) == 0 || len(raw)%4 != 0 {
-			return nil, fmt.Errorf("%w: assumption block of %d bytes (want a non-empty multiple of 4)", ErrBadCheckpoint, len(raw))
-		}
-		assume = make([]cnf.Lit, len(raw)/4)
-		for i := range assume {
-			assume[i] = cnf.Lit(int32(binary.LittleEndian.Uint32(raw[4*i:])))
+		if nb := d.Count(1, "assumption bytes"); nb == 0 || nb%4 != 0 {
+			d.Fail("assumption block of %d bytes (want a non-empty multiple of 4)", nb)
+		} else {
+			assume = codec.TakeI32s[cnf.Lit](d, nb/4)
 		}
 	}
-	blob, rest, err := takeBlock(rest, "core snapshot")
-	if err != nil {
+	blob := d.Bytes32("core snapshot")
+	if err := d.Finish(); err != nil {
 		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadCheckpoint, len(rest))
 	}
 	// Resume tokens arrive over the network, so the embedded formula is
 	// re-parsed under the same service-grade bounds submissions face —
@@ -216,20 +171,8 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 	}
-	if len(assume) > 0 {
-		if err := cnf.ValidateAssumptions(f.NumVars, assume); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
-		}
-		for i := 1; i < len(assume); i++ {
-			if assume[i].Var() <= assume[i-1].Var() {
-				return nil, fmt.Errorf("%w: assumption list not canonical at entry %d", ErrBadCheckpoint, i)
-			}
-		}
-	}
-	// AssumeKey degenerates to the content hash for an empty assumption
-	// set, so one cross-check covers both envelope versions.
-	if key := cnf.AssumeKey(HashFormula(f), assume); key != snap.Key() {
-		return nil, fmt.Errorf("%w: embedded content hashes to %.12s but snapshot is keyed %.12s", ErrBadCheckpoint, key, snap.Key())
+	if err := cnf.CheckAssumeKey(f.NumVars, HashFormula(f), assume, snap.Key()); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 	}
 	if delivered > uint64(snap.UniqueCount()) {
 		return nil, fmt.Errorf("%w: delivered cursor %d exceeds the snapshot's %d solutions", ErrBadCheckpoint, delivered, snap.UniqueCount())
@@ -247,37 +190,19 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	}, nil
 }
 
-// takeBlock splits one u32-length-prefixed payload off the front of data.
-func takeBlock(data []byte, what string) (payload, rest []byte, err error) {
-	if len(data) < 4 {
-		return nil, nil, fmt.Errorf("%w: truncated %s length", ErrBadCheckpoint, what)
-	}
-	n := binary.LittleEndian.Uint32(data)
-	if uint64(n) > uint64(len(data)-4) {
-		return nil, nil, fmt.Errorf("%w: %s claims %d bytes, %d remain", ErrBadCheckpoint, what, n, len(data)-4)
-	}
-	return data[4 : 4+n], data[4+n:], nil
-}
-
 // RestoreSession rebuilds a session from a checkpoint on this problem,
-// which must be the compiled form of the checkpoint's formula (the warm
-// cache path: the server looked the key up before decoding the formula at
-// all). A zero dev restores on the device implied by the snapshot's
-// worker count; streams are deterministic across devices, so any explicit
-// dev resumes the identical stream.
+// which must be the compiled form of the checkpoint's formula under its
+// assumptions. It is the one restore path: callers obtain the problem
+// with Compiler.CompileAssume(ck.Formula(), ck.Assumptions()) — a cache
+// hit when warm, a compile of the embedded formula when cold — or, like
+// the server, by looking the key up first. Streams are deterministic
+// across devices, so any dev (a zero one runs sequentially) resumes the
+// identical stream.
 func (p *Problem) RestoreSession(ck *Checkpoint, dev tensor.Device) (*Session, error) {
 	if ck == nil {
 		return nil, fmt.Errorf("%w: nil checkpoint", ErrBadCheckpoint)
 	}
-	var (
-		s   *core.Sampler
-		err error
-	)
-	if dev.Workers() == 0 {
-		s, err = core.RestoreSampler(p.core, ck.snap)
-	} else {
-		s, err = core.RestoreSamplerOn(p.core, ck.snap, dev)
-	}
+	s, err := core.RestoreSamplerOn(p.core, ck.snap, dev)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 	}
@@ -288,49 +213,7 @@ func (p *Problem) RestoreSession(ck *Checkpoint, dev tensor.Device) (*Session, e
 		roundMode: ck.snap.RoundMode(),
 		delivered: ck.delivered,
 		stale:     ck.stale,
-		stats: Stats{
-			Unique:    s.UniqueCount(),
-			Calls:     0, // per-process driver accounting restarts with the process
-			Exhausted: false,
-		},
+		// Per-process driver accounting (Calls) restarts with the process.
+		stats: Stats{Unique: s.UniqueCount()},
 	}, nil
-}
-
-// Resume restores a checkpointed session through this compiler: the
-// embedded formula compiles through the content-hash cache (a hit when
-// the artifact is still resident, a fresh compile after a cold restart),
-// specialized under the envelope's assumption set when one is present,
-// then the snapshot restores onto the shared problem. This is the
-// server's re-admission path.
-func (c *Compiler) Resume(ck *Checkpoint, dev tensor.Device) (*Session, error) {
-	if ck == nil {
-		return nil, fmt.Errorf("%w: nil checkpoint", ErrBadCheckpoint)
-	}
-	p, err := c.CompileAssume(ck.formula, ck.assume)
-	if err != nil {
-		return nil, fmt.Errorf("%w: recompiling embedded formula: %v", ErrBadCheckpoint, err)
-	}
-	return p.RestoreSession(ck, dev)
-}
-
-// RestoreSession is the cache-free one-shot resume: decode nothing, share
-// nothing, just recompile the embedded formula (re-specializing when the
-// envelope carries assumptions) and restore. CLI tools use it; services
-// should prefer Compiler.Resume.
-func RestoreSession(ck *Checkpoint, dev tensor.Device) (*Session, error) {
-	if ck == nil {
-		return nil, fmt.Errorf("%w: nil checkpoint", ErrBadCheckpoint)
-	}
-	p, err := CompileProblem(ck.formula)
-	if err != nil {
-		return nil, fmt.Errorf("%w: recompiling embedded formula: %v", ErrBadCheckpoint, err)
-	}
-	if len(ck.assume) > 0 {
-		cp, err := core.Specialize(p.core, ck.assume)
-		if err != nil {
-			return nil, fmt.Errorf("%w: re-specializing embedded formula: %v", ErrBadCheckpoint, err)
-		}
-		p = &Problem{key: cp.Key(), formula: cp.Formula(), core: cp}
-	}
-	return p.RestoreSession(ck, dev)
 }

@@ -111,9 +111,9 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 				if ck.Key() != base.Key() {
 					t.Fatalf("cut %d: envelope key %.12s, want %.12s", cut, ck.Key(), base.Key())
 				}
-				// Cold resume: a fresh compiler holds nothing, so Resume
-				// must recompile from the embedded DIMACS text.
-				restored, err := NewCompiler(4).Resume(ck, v.resume)
+				// Cold resume: a fresh compiler holds nothing, so the
+				// restore must recompile from the embedded DIMACS text.
+				restored, err := resumeVia(NewCompiler(4), ck, v.resume)
 				if err != nil {
 					t.Fatalf("cut %d: resume: %v", cut, err)
 				}
@@ -230,7 +230,7 @@ func TestCheckpointExhaustionResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreSession(ck, tensor.Device{})
+	restored, err := resumeVia(NewCompiler(1), ck, tensor.Device{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,6 +249,16 @@ func reseal(env []byte) []byte {
 	body := env[:len(env)-sha256.Size]
 	sum := sha256.Sum256(body)
 	return append(append([]byte(nil), body...), sum[:]...)
+}
+
+// resumeVia is the one restore path: compile the envelope's formula under
+// its assumptions through comp (a cache hit when warm), then restore.
+func resumeVia(comp *Compiler, ck *Checkpoint, dev tensor.Device) (*Session, error) {
+	p, err := comp.CompileAssume(ck.Formula(), ck.Assumptions())
+	if err != nil {
+		return nil, err
+	}
+	return p.RestoreSession(ck, dev)
 }
 
 func mustParseCk(t *testing.T, s string) *cnf.Formula {
@@ -342,7 +352,7 @@ func TestDecodeCheckpointRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestCheckpointWarmCachePath: Resume through a compiler that already
+// TestCheckpointWarmCachePath: restoring through a compiler that already
 // holds the artifact must hit the cache, not recompile.
 func TestCheckpointWarmCachePath(t *testing.T) {
 	env, _ := checkpointFixture(t)
@@ -355,7 +365,7 @@ func TestCheckpointWarmCachePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := comp.Stats()
-	if _, err := comp.Resume(ck, tensor.Device{}); err != nil {
+	if _, err := resumeVia(comp, ck, tensor.Device{}); err != nil {
 		t.Fatal(err)
 	}
 	after := comp.Stats()

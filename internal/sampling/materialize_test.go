@@ -83,7 +83,7 @@ func TestCheckpointRestoredDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreSession(ck, tensor.ParallelN(3))
+	restored, err := resumeVia(NewCompiler(1), ck, tensor.ParallelN(3))
 	if err != nil {
 		t.Fatal(err)
 	}

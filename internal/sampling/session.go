@@ -3,6 +3,7 @@ package sampling
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/cnf"
@@ -10,19 +11,6 @@ import (
 	"repro/internal/extract"
 	"repro/internal/tensor"
 )
-
-// litsEqual reports element-wise equality of two literal slices.
-func litsEqual(a, b []cnf.Lit) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // Problem is the immutable, shareable compiled form of one CNF: the
 // formula, its extraction result, and the core compiled artifact (fused
@@ -114,7 +102,7 @@ func (p *Problem) NewSession(cfg SessionConfig) (*Session, error) {
 	if len(cfg.Assumptions) > 0 {
 		canon := cnf.CanonicalAssume(cfg.Assumptions)
 		switch have := p.core.Assumptions(); {
-		case litsEqual(canon, have):
+		case slices.Equal(canon, have):
 			// Already specialized under exactly these pins.
 		case len(have) == 0:
 			cp, err := core.Specialize(p.core, canon)
@@ -229,10 +217,11 @@ func (s *Session) Stream(ctx context.Context, target int, sink Sink) (st Stats, 
 // becomes readable (typically: closed), the stream stops cleanly at the
 // next tick boundary with Stats.Yielded set and all progress retained.
 // A yielded session is quiescent — exactly the state Checkpoint requires —
-// so a scheduler can checkpoint it, release its resources, and later
-// restore and continue the identical stream: yield → Checkpoint →
-// RestoreSession → StreamYield is bit-identical to the uninterrupted run.
-// A nil yield never fires, making this exactly Stream.
+// so a scheduler can checkpoint it, release its slot, and later call
+// StreamYield on the same session again; the checkpoint lets the stream
+// survive the process meanwhile, since a session restored from it
+// continues identically. Either way the stream is bit-identical to the
+// uninterrupted run. A nil yield never fires, making this exactly Stream.
 func (s *Session) StreamYield(ctx context.Context, target int, yield <-chan struct{}, sink Sink) (st Stats, err error) {
 	// Timeout/Exhausted/Yielded describe how *this* call ended; a reused
 	// session must not inherit them from a previous, cancelled call.

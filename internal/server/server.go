@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -473,19 +474,6 @@ func parseAssumeSpec(spec string) ([]cnf.Lit, error) {
 	return cnf.ParseAssumeList(spec)
 }
 
-// litsEqual reports whether two canonical literal slices are identical.
-func litsEqual(a, b []cnf.Lit) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // litInts renders assumption literals as plain ints for the meta line.
 func litInts(lits []cnf.Lit) []int {
 	if len(lits) == 0 {
@@ -722,7 +710,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		// The envelope's assumption set is authoritative: a redundant
 		// ?assume= must agree with it (the sharded edge repeats the query
 		// so the resume routes to the specialized key's owner).
-		if len(assume) > 0 && !litsEqual(assume, ck.Assumptions()) {
+		if len(assume) > 0 && !slices.Equal(assume, ck.Assumptions()) {
 			reSpool()
 			s.errorBody(w, http.StatusBadRequest,
 				"assume does not match the resume envelope's assumption set", outcomeBadRequest, "")
@@ -1005,10 +993,11 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 
 	// The stream runs in legs: a leg ends at the target, the deadline, an
 	// error — or a yield request (preemption or handoff) at a tick
-	// boundary. A preempted leg checkpoints, gives back slot + memory,
-	// re-files behind a fresh SFQ tag (behind every starved waiter that
-	// triggered it), restores, and continues on this same connection; a
-	// handoff leg parks the checkpoint on a peer and ends the stream.
+	// boundary. A preempted leg spools a checkpoint, gives back slot +
+	// memory, re-files behind a fresh SFQ tag (behind every starved waiter
+	// that triggered it), and continues the same session on this same
+	// connection; a handoff leg parks the checkpoint on a peer and ends the
+	// stream.
 	handoffCh := s.handoff.Load().ch
 	var preemptCh <-chan struct{}
 	var st sampling.Stats
@@ -1082,14 +1071,8 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 			// The session continues here; reclaim the safety copy.
 			s.spool.Take(tok)
 		}
-		ck2, derr := sampling.DecodeCheckpoint(env)
-		if derr == nil {
-			sess, derr = prob.RestoreSession(ck2, s.cfg.Device)
-		}
-		if derr != nil {
-			serr = fmt.Errorf("preemption restore: %w", derr)
-			break
-		}
+		// The parked session is quiescent and Checkpoint left it untouched,
+		// so the next leg continues it directly.
 	}
 
 	drained := s.sessCtx.Err() != nil && st.Timeout

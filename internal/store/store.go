@@ -23,7 +23,6 @@ package store
 
 import (
 	"crypto/sha256"
-	"crypto/subtle"
 	"fmt"
 	"log/slog"
 	"os"
@@ -32,6 +31,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/codec"
 )
 
 // blobExt names complete entries; only files with this suffix and a
@@ -117,7 +118,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	if err != nil {
 		return nil, false
 	}
-	if !selfVerifies(data) {
+	if !codec.SHA256.Verifies(data) {
 		s.Quarantine(key, "integrity trailer mismatch")
 		return nil, false
 	}
@@ -135,7 +136,7 @@ func (s *Store) Put(key string, blob []byte) error {
 	if !ValidKey(key) {
 		return fmt.Errorf("store: invalid key %q", key)
 	}
-	if !selfVerifies(blob) {
+	if !codec.SHA256.Verifies(blob) {
 		return fmt.Errorf("store: blob for %s fails its own integrity trailer", key[:12])
 	}
 	if s.budget > 0 && int64(len(blob)) > s.budget {
@@ -280,16 +281,4 @@ func ValidKey(key string) bool {
 		}
 	}
 	return true
-}
-
-// selfVerifies reports whether data ends in a SHA-256 trailer over its
-// preceding bytes — the codec-agnostic integrity check shared by every
-// blob this store files.
-func selfVerifies(data []byte) bool {
-	if len(data) <= sha256.Size {
-		return false
-	}
-	body, tail := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
-	sum := sha256.Sum256(body)
-	return subtle.ConstantTimeCompare(sum[:], tail) == 1
 }
