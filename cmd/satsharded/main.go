@@ -257,7 +257,7 @@ func (p *proxy) candidates(key, preferred string) []string {
 // arrives. A body or assumption spec the proxy cannot parse routes
 // keyless; the replica owns the error reply.
 func (p *proxy) routeKey(r *http.Request, body []byte) string {
-	assume, aerr := parseAssume(strings.TrimSpace(r.URL.Query().Get("assume")))
+	assume, aerr := cnf.ParseAssumeList(r.URL.Query().Get("assume"))
 	if aerr != nil {
 		return ""
 	}
@@ -274,52 +274,14 @@ func (p *proxy) routeKey(r *http.Request, body []byte) string {
 	if err != nil {
 		return ""
 	}
-	if spec := strings.TrimSpace(r.URL.Query().Get("project")); spec != "" {
-		vars, perr := parseProjection(spec)
-		if perr != nil || cnf.ValidateProjection(f.NumVars, vars) != nil {
-			return ""
-		}
-		if vars != nil {
-			f.Projection = vars
-		}
+	vars, perr := cnf.ParseProjectionList(r.URL.Query().Get("project"))
+	if perr != nil || cnf.ValidateProjection(f.NumVars, vars) != nil {
+		return ""
+	}
+	if vars != nil {
+		f.Projection = vars
 	}
 	return fold(sampling.HashFormula(f))
-}
-
-// parseAssume mirrors the server's ?assume= grammar: JSON array of signed
-// literals or comma list.
-func parseAssume(spec string) ([]cnf.Lit, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	if strings.HasPrefix(spec, "[") {
-		var raw []int
-		if err := json.Unmarshal([]byte(spec), &raw); err != nil {
-			return nil, err
-		}
-		lits := make([]cnf.Lit, len(raw))
-		for i, v := range raw {
-			if v == 0 {
-				return nil, fmt.Errorf("assumption literal 0")
-			}
-			lits[i] = cnf.Lit(v)
-		}
-		return lits, nil
-	}
-	return cnf.ParseAssumeList(spec)
-}
-
-// parseProjection mirrors the server's ?project= grammar: JSON array or
-// comma list.
-func parseProjection(spec string) ([]int, error) {
-	if strings.HasPrefix(spec, "[") {
-		var vars []int
-		if err := json.Unmarshal([]byte(spec), &vars); err != nil {
-			return nil, err
-		}
-		return vars, nil
-	}
-	return cnf.ParseProjectionList(spec)
 }
 
 func (p *proxy) handleSample(w http.ResponseWriter, r *http.Request) {

@@ -31,6 +31,9 @@ func TestRouteKeyAssume(t *testing.T) {
 	}
 	base := sampling.HashFormula(f)
 	spec := cnf.AssumeKey(base, cnf.CanonicalAssume([]cnf.Lit{-1, 4}))
+	pf := f.Clone()
+	pf.Projection = []int{3, 1}
+	proj := sampling.HashFormula(pf)
 
 	cases := []struct {
 		name, url, body, want string
@@ -38,6 +41,9 @@ func TestRouteKeyAssume(t *testing.T) {
 		{"body-plain", "/v1/sample", routeDIMACS, base},
 		{"body-assume", "/v1/sample?assume=4,-1", routeDIMACS, spec},
 		{"body-assume-json", "/v1/sample?assume=[-1,4]", routeDIMACS, spec},
+		// Both ?project= spellings fold the same sampling set into the key.
+		{"body-project-json", "/v1/sample?project=[3,1]", routeDIMACS, proj},
+		{"body-project-list", "/v1/sample?project=3,1", routeDIMACS, proj},
 		{"key-plain", "/v1/sample?key=" + base, "", base},
 		{"key-assume", "/v1/sample?key=" + base + "&assume=-1,4", "", spec},
 		// Unparseable pins route keyless; the replica owns the 400.

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -17,17 +18,33 @@ import (
 // satsharded edge (routing key), and the compile-tier store (artifact
 // identity).
 
-// ParseAssumeList reads a comma-separated assumption literal list — the
-// spelling shared by satsample's -assume flag and satserved's ?assume=
-// parameter. Literals are DIMACS-signed integers (+v pins variable v true,
-// -v pins it false). An empty (or all-whitespace) spec is no assumption
-// (nil, nil); a spec with tokens but no literals is an error, so a typo
-// like "," cannot silently mean "no pins". Range, duplicate and
-// contradiction checks are ValidateAssumptions' job once the variable
-// count is known.
+// ParseAssumeList reads an assumption literal list in either spelling of
+// satserved's ?assume= parameter (which satsharded folds into its routing
+// key): a JSON array of signed literals ("[1,-4]") or a comma-separated
+// list ("1,-4"). Literals are DIMACS-signed integers (+v pins variable v
+// true, -v pins it false); 0 is rejected in both spellings. An empty (or
+// all-whitespace) spec is no assumption (nil, nil); a comma list with
+// tokens but no literals is an error, so a typo like "," cannot silently
+// mean "no pins". Range, duplicate and contradiction checks are
+// ValidateAssumptions' job once the variable count is known.
 func ParseAssumeList(spec string) ([]Lit, error) {
-	if strings.TrimSpace(spec) == "" {
+	spec = strings.TrimSpace(spec)
+	if spec == "" {
 		return nil, nil
+	}
+	if strings.HasPrefix(spec, "[") {
+		var raw []int
+		if err := json.Unmarshal([]byte(spec), &raw); err != nil {
+			return nil, fmt.Errorf("bad assumption JSON: %v", err)
+		}
+		lits := make([]Lit, len(raw))
+		for i, v := range raw {
+			if v == 0 {
+				return nil, fmt.Errorf("bad assumption literal 0")
+			}
+			lits[i] = Lit(v)
+		}
+		return lits, nil
 	}
 	var out []Lit
 	for _, tok := range strings.Split(spec, ",") {

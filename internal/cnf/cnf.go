@@ -5,6 +5,7 @@
 package cnf
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -167,15 +168,24 @@ func (f *Formula) Clone() *Formula {
 	return g
 }
 
-// ParseProjectionList reads a comma-separated projection variable list —
-// the spelling shared by satsample's -project flag and satserved's
-// ?project= parameter. An empty (or all-whitespace) spec is no projection
-// (nil, nil); a spec with tokens but no variables is an error, so a typo
-// like "," cannot silently mean "sample everything". Range and duplicate
-// checks are ValidateProjection's job once the variable count is known.
+// ParseProjectionList reads a projection variable list in either spelling
+// of satserved's ?project= parameter: a JSON array ("[1,4,7]") or the
+// comma-separated list satsample's -project flag also speaks ("1,4,7").
+// An empty (or all-whitespace) spec is no projection (nil, nil); a comma
+// list with tokens but no variables is an error, so a typo like "," cannot
+// silently mean "sample everything". Range and duplicate checks are
+// ValidateProjection's job once the variable count is known.
 func ParseProjectionList(spec string) ([]int, error) {
-	if strings.TrimSpace(spec) == "" {
+	spec = strings.TrimSpace(spec)
+	if spec == "" {
 		return nil, nil
+	}
+	if strings.HasPrefix(spec, "[") {
+		var vars []int
+		if err := json.Unmarshal([]byte(spec), &vars); err != nil {
+			return nil, fmt.Errorf("bad projection JSON: %v", err)
+		}
+		return vars, nil
 	}
 	var out []int
 	for _, tok := range strings.Split(spec, ",") {

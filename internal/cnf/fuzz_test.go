@@ -97,3 +97,29 @@ func FuzzParseDIMACS(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAssumeSpec: the ?assume= grammar (ParseAssumeList, both spellings)
+// never panics and never silently accepts a literal the validator would
+// reject as zero.
+func FuzzAssumeSpec(f *testing.F) {
+	f.Add("1,2,3")
+	f.Add("[1,-4]")
+	f.Add("-1, 2 ,-3")
+	f.Add("[]")
+	f.Add("0")
+	f.Add("1,,2")
+	f.Add("[1.5]")
+	f.Add("  ")
+	f.Add("[9223372036854775807]")
+	f.Fuzz(func(t *testing.T, spec string) {
+		lits, err := cnf.ParseAssumeList(spec)
+		if err != nil {
+			return
+		}
+		for _, l := range lits {
+			if l == 0 {
+				t.Fatalf("spec %q parsed to a zero literal", spec)
+			}
+		}
+	})
+}

@@ -1,3 +1,12 @@
+// Package core implements the paper's primary contribution: GPU-style
+// gradient-based SAT sampling over the multi-level, multi-output Boolean
+// function recovered from a CNF by the transformation algorithm
+// (internal/extract). Each logic gate is relaxed to its probabilistic form
+// (the paper's Table I), primary inputs become a batch of real-valued rows
+// embedded through a sigmoid, and gradient descent on the ℓ2 loss against
+// the output targets drives every batch row toward an independent
+// satisfying assignment. Hardened rows are verified against the original
+// CNF and deduplicated, yielding unique valid solutions.
 package core
 
 import (
@@ -8,7 +17,7 @@ import (
 
 // This file implements the production execution engine: a fused,
 // register-allocated lowering of the extracted circuit that replaces the
-// naive one-slot-per-op tape in program.go (retained as the
+// naive one-slot-per-op tape in program_test.go (retained as the
 // differential-testing oracle). Three compile passes shrink the working
 // set and the per-iteration instruction count (see DESIGN.md, "Execution
 // engine"):

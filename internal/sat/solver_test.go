@@ -237,37 +237,6 @@ func TestLuby(t *testing.T) {
 	}
 }
 
-func TestWalkSATFindsModels(t *testing.T) {
-	r := rand.New(rand.NewSource(21))
-	found := 0
-	for i := 0; i < 40; i++ {
-		nv := 5 + r.Intn(6)
-		f := randomFormula(r, nv, 3*nv, 3)
-		verdict, _ := DPLL(f)
-		st, model := WalkSAT(f, WalkSATOptions{Rand: rand.New(rand.NewSource(int64(i)))})
-		if st == Sat {
-			if verdict != Sat {
-				t.Fatalf("WalkSAT found a model for an UNSAT formula")
-			}
-			if !f.Sat(model) {
-				t.Fatalf("WalkSAT returned invalid model")
-			}
-			found++
-		}
-	}
-	if found == 0 {
-		t.Error("WalkSAT found no models across 40 satisfiable-leaning instances")
-	}
-}
-
-func TestWalkSATNeverClaimsUnsat(t *testing.T) {
-	f := mustParse(t, "p cnf 1 2\n1 0\n-1 0\n")
-	st, _ := WalkSAT(f, WalkSATOptions{MaxFlips: 100, MaxTries: 2})
-	if st != Unknown {
-		t.Errorf("WalkSAT on unsat = %v want UNKNOWN", st)
-	}
-}
-
 func TestVarHeapOrdering(t *testing.T) {
 	act := []float64{0.5, 3.0, 1.0, 2.0}
 	h := newVarHeap(act)

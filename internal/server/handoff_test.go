@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/sampling"
 )
 
 // scrapeMetric reads one counter/gauge value off a server's /metrics page.
@@ -202,6 +204,58 @@ func TestAdoptRejectsDamagedEnvelope(t *testing.T) {
 	}
 	if got := scrapeMetric(t, ts.URL, "satserved_handoff_rejected_total"); got < 1 {
 		t.Fatalf("handoff_rejected_total = %v, want >= 1", got)
+	}
+}
+
+// TestAdoptWarmsAssumedKey: an envelope cut from an ?assume= stream is
+// adopted under its own specialized key — the artifact its ?resume= will
+// look up — so the client's reconnect finds it resident and compiles
+// nothing on its critical path.
+func TestAdoptWarmsAssumedKey(t *testing.T) {
+	srvA, tsA := testServer(t, Config{DrainGrace: 50 * time.Millisecond, MaxTarget: 1_000_000})
+	_, token := drainInterruptedStream(t, srvA, tsA.URL+"/v1/sample?target=0&seed=5&assume=1,-3")
+	env, ok := srvA.spool.Take(token)
+	if !ok {
+		t.Fatal("drained stream's checkpoint is not in the spool")
+	}
+	ck, err := sampling.DecodeCheckpoint(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ck.Assumptions()) == 0 {
+		t.Fatal("envelope cut from an ?assume= stream carries no assumptions")
+	}
+
+	srvB, tsB := testServer(t, Config{MaxTarget: 1_000_000})
+	resp, err := http.Post(tsB.URL+"/v1/adopt", "application/octet-stream", bytes.NewReader(env))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var adopted struct {
+		Token string `json:"token"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&adopted); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("adopt: status %d, decode err %v", resp.StatusCode, err)
+	}
+	resp.Body.Close()
+	if _, ok := srvB.Compiler().Lookup(ck.Key()); !ok {
+		t.Fatalf("adopt did not warm the envelope's specialized key %.16s", ck.Key())
+	}
+
+	misses := srvB.Compiler().Stats().Misses
+	r2, err := http.Post(tsB.URL+"/v1/sample?resume="+adopted.Token+"&target=0&timeout=100ms", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Body.Close()
+	if r2.StatusCode != http.StatusOK {
+		t.Fatalf("resume of the adopted token: status %d", r2.StatusCode)
+	}
+	if st := readStream(t, r2.Body); !st.meta.Resumed || st.meta.Key != ck.Key() {
+		t.Fatalf("resumed meta = %+v, want resumed on key %.16s", st.meta, ck.Key())
+	}
+	if got := srvB.Compiler().Stats().Misses; got != misses {
+		t.Fatalf("resume after adopt compiled: compiler misses %d -> %d", misses, got)
 	}
 }
 

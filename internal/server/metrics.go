@@ -81,55 +81,11 @@ func (m *metrics) addSolutions(n int, projected bool, now time.Time) {
 	m.mu.Unlock()
 }
 
-// projectedRequest counts one completed request that sampled under a
-// projection.
-func (m *metrics) projectedRequest() {
+// inc bumps one of the event counters above (projRequests, checkpoints,
+// resumes, handoffSent, handoffAdopt, handoffReject, preemptions).
+func (m *metrics) inc(counter *int64) {
 	m.mu.Lock()
-	m.projRequests++
-	m.mu.Unlock()
-}
-
-// checkpointed counts one drained stream whose checkpoint was spooled.
-func (m *metrics) checkpointed() {
-	m.mu.Lock()
-	m.checkpoints++
-	m.mu.Unlock()
-}
-
-// resumed counts one stream re-attached from a resume token.
-func (m *metrics) resumed() {
-	m.mu.Lock()
-	m.resumes++
-	m.mu.Unlock()
-}
-
-// handoffSentInc counts one envelope successfully handed to a peer.
-func (m *metrics) handoffSentInc() {
-	m.mu.Lock()
-	m.handoffSent++
-	m.mu.Unlock()
-}
-
-// handoffAdopted counts one envelope this server adopted from a peer.
-func (m *metrics) handoffAdopted() {
-	m.mu.Lock()
-	m.handoffAdopt++
-	m.mu.Unlock()
-}
-
-// handoffRejected counts one /v1/adopt request this server refused
-// (draining, damaged envelope, capacity, or an injected rejection).
-func (m *metrics) handoffRejected() {
-	m.mu.Lock()
-	m.handoffReject++
-	m.mu.Unlock()
-}
-
-// preempted counts one session checkpointed off its worker slot by the
-// SFQ preemption policy.
-func (m *metrics) preempted() {
-	m.mu.Lock()
-	m.preemptions++
+	*counter++
 	m.mu.Unlock()
 }
 

@@ -410,3 +410,161 @@ func TestResumeRejectsDamage(t *testing.T) {
 		t.Fatalf("unknown token: status %d, want 404", r2.StatusCode)
 	}
 }
+
+// TestResumeRefusalsRespool pins the one refusal exit: every transient
+// refusal of a ?resume= request puts the taken envelope back under the same
+// token, so the client's retry still resumes — here on a successor process
+// over the same spool directory, since some refusals (memory, drain) leave
+// the refusing server unable to serve it. A refusal caused by the envelope
+// itself consumes the token.
+func TestResumeRefusalsRespool(t *testing.T) {
+	env := checkpointEnvelope(t, 64)
+	damaged := append([]byte(nil), env...)
+	damaged[len(damaged)/3] ^= 0x10
+
+	// hog holds a worker slot and park queues one waiter of a tenant for
+	// the rest of the case.
+	hog := func(t *testing.T, s *Server) {
+		g, err := s.queue.AcquireGrant(context.Background(), "hog", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(g.Release)
+	}
+	park := func(t *testing.T, s *Server, tenant string) {
+		ctx, cancel := context.WithCancel(context.Background())
+		t.Cleanup(cancel)
+		go s.queue.AcquireGrant(ctx, tenant, 1)
+		waitFor(t, func() bool { return s.queue.Depth() == 1 })
+	}
+	spooled := func(s *Server) int { n, _, _, _ := s.spool.Stats(); return n }
+
+	cases := []struct {
+		name   string
+		cfg    Config
+		env    []byte // nil: the intact envelope
+		query  string
+		tenant string
+		setup  func(t *testing.T, s *Server)
+		// during runs while the request is in flight and ends it: cancel
+		// is the request's own context.
+		during    func(t *testing.T, s *Server, cancel context.CancelFunc)
+		status    int // 0: the client hung up, no response
+		respooled bool
+	}{
+		{name: "assume-mismatch", query: "&assume=5", status: http.StatusBadRequest, respooled: true},
+		{name: "cancel-at-compile-gate",
+			setup: func(t *testing.T, s *Server) {
+				for i := 0; i < cap(s.compileGate); i++ {
+					s.compileGate <- struct{}{}
+				}
+				t.Cleanup(func() {
+					for i := 0; i < cap(s.compileGate); i++ {
+						<-s.compileGate
+					}
+				})
+			},
+			during: func(t *testing.T, s *Server, cancel context.CancelFunc) {
+				waitFor(t, func() bool { return spooled(s) == 0 }) // token taken
+				cancel()
+			},
+			respooled: true},
+		{name: "memory-shed",
+			setup:  func(t *testing.T, s *Server) { s.reserve(s.cfg.MemoryBudget) },
+			status: http.StatusTooManyRequests, respooled: true},
+		{name: "queue-full", cfg: Config{Workers: 1, QueueDepth: 1},
+			setup:  func(t *testing.T, s *Server) { hog(t, s); park(t, s, "w") },
+			status: http.StatusTooManyRequests, respooled: true},
+		{name: "tenant-share-full", cfg: Config{Workers: 1, TenantQueueDepth: 1}, tenant: "t",
+			setup:  func(t *testing.T, s *Server) { hog(t, s); park(t, s, "t") },
+			status: http.StatusTooManyRequests, respooled: true},
+		{name: "draining", cfg: Config{Workers: 1}, setup: hog,
+			during: func(t *testing.T, s *Server, _ context.CancelFunc) {
+				waitFor(t, func() bool { return s.queue.Depth() == 1 })
+				s.StartDrain()
+			},
+			status: http.StatusServiceUnavailable, respooled: true},
+		{name: "disconnect-while-queued", cfg: Config{Workers: 1}, setup: hog,
+			during: func(t *testing.T, s *Server, cancel context.CancelFunc) {
+				waitFor(t, func() bool { return s.queue.Depth() == 1 })
+				cancel()
+			},
+			respooled: true},
+		{name: "damaged-envelope", env: damaged, status: http.StatusBadRequest},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := tc.cfg
+			cfg.SpoolDir, cfg.MaxTarget = dir, 1_000_000
+			s, ts := testServer(t, cfg)
+			data := env
+			if tc.env != nil {
+				data = tc.env
+			}
+			token, err := s.spool.Put(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.setup != nil {
+				tc.setup(t, s)
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			statusCh := make(chan int, 1)
+			go func() {
+				req, _ := http.NewRequestWithContext(ctx, http.MethodPost,
+					ts.URL+"/v1/sample?resume="+token+"&target=80"+tc.query, nil)
+				if tc.tenant != "" {
+					req.Header.Set("X-Tenant", tc.tenant)
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					statusCh <- 0
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				statusCh <- resp.StatusCode
+			}()
+			if tc.during != nil {
+				tc.during(t, s, cancel)
+			}
+			select {
+			case status := <-statusCh:
+				if status != tc.status {
+					t.Fatalf("refused resume: status %d, want %d", status, tc.status)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("refused resume still blocked after 10s")
+			}
+			want := 0
+			if tc.respooled {
+				want = 1
+			}
+			// A client that hung up got no answer; its handler may still be
+			// on its way to the refusal exit.
+			waitFor(t, func() bool { return spooled(s) == want })
+
+			_, next := testServer(t, Config{SpoolDir: dir, MaxTarget: 1_000_000})
+			resp, err := http.Post(next.URL+"/v1/sample?resume="+token+"&target=80", "", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if !tc.respooled {
+				if resp.StatusCode != http.StatusNotFound {
+					t.Fatalf("token refused for its envelope resumed again: status %d, want 404", resp.StatusCode)
+				}
+				return
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("retry of the re-spooled token: status %d, want 200", resp.StatusCode)
+			}
+			if st := readStream(t, resp.Body); !st.meta.Resumed || st.done == nil {
+				t.Fatalf("retry did not resume: meta=%+v done=%+v", st.meta, st.done)
+			}
+		})
+	}
+}

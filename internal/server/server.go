@@ -46,7 +46,6 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -382,31 +381,18 @@ func (s *Server) unreserve(est int64) {
 // stream that runs all the way to its cap is still inside its
 // reservation.
 func (s *Server) sessionShape(prob *sampling.Problem, target, projVars int) (batch int, est int64) {
-	workers := s.cfg.Device.Workers()
-	if workers < 1 {
-		workers = 1
-	}
-	batch = prob.Core().BatchForBudget(workers, false, s.cfg.SessionMemory)
-	if batch < 64 {
-		batch = 64
-	}
-	if batch > 8192 {
-		batch = 8192
-	}
+	batch = prob.Core().BatchForBudget(s.cfg.Device.Workers(), false, s.cfg.SessionMemory)
+	batch = min(max(batch, 64), 8192)
 	return batch, s.estimateSession(prob, batch, target, projVars, false)
 }
 
 // estimateSession prices one session at an explicit batch — the shared
-// tail of sessionShape, called directly by the resume path, where the
+// tail of sessionShape, called directly by resolveCheckpoint, where the
 // batch is not derived from this server's budget but fixed by the
 // checkpoint (a resumed session runs at the batch it was snapshotted
 // with, so it must be re-priced at that batch against THIS ledger).
 func (s *Server) estimateSession(prob *sampling.Problem, batch, target, projVars int, momentum bool) int64 {
-	workers := s.cfg.Device.Workers()
-	if workers < 1 {
-		workers = 1
-	}
-	est := prob.Core().MemoryEstimate(workers, batch, momentum)
+	est := prob.Core().MemoryEstimate(s.cfg.Device.Workers(), batch, momentum)
 	est += int64(target) * int64(prob.NumInputs()/8+24)
 	if projVars > 0 {
 		est += int64(projVars) * int64(batch) / 8           // packed projection columns
@@ -424,54 +410,6 @@ func (s *Server) errorBody(w http.ResponseWriter, status int, msg, outcome, retr
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(map[string]string{"error": msg})
 	s.met.request(outcome)
-}
-
-// parseProjectionSpec reads a ?project= value: either a JSON array
-// ("[1,4,7]") or the comma-separated list satsample's -project flag also
-// speaks (shared cnf.ParseProjectionList). Syntax only — range and
-// duplicate validation happens once the formula's variable count is known
-// (cnf.ValidateProjection).
-func parseProjectionSpec(spec string) ([]int, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil, nil
-	}
-	if strings.HasPrefix(spec, "[") {
-		var vars []int
-		if err := json.Unmarshal([]byte(spec), &vars); err != nil {
-			return nil, fmt.Errorf("bad projection JSON: %v", err)
-		}
-		return vars, nil
-	}
-	return cnf.ParseProjectionList(spec)
-}
-
-// parseAssumeSpec reads a ?assume= value: either a JSON array of signed
-// DIMACS literals ("[1,-4]") or the comma-separated list satsample's
-// -assume flag also speaks (shared cnf.ParseAssumeList). Syntax only —
-// range and contradiction validation happens once the formula's variable
-// count is known (cnf.ValidateAssumptions, via CompileAssume/
-// LookupAssume).
-func parseAssumeSpec(spec string) ([]cnf.Lit, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil, nil
-	}
-	if strings.HasPrefix(spec, "[") {
-		var raw []int
-		if err := json.Unmarshal([]byte(spec), &raw); err != nil {
-			return nil, fmt.Errorf("bad assumption JSON: %v", err)
-		}
-		lits := make([]cnf.Lit, len(raw))
-		for i, v := range raw {
-			if v == 0 {
-				return nil, fmt.Errorf("bad assumption literal 0")
-			}
-			lits[i] = cnf.Lit(v)
-		}
-		return lits, nil
-	}
-	return cnf.ParseAssumeList(spec)
 }
 
 // litInts renders assumption literals as plain ints for the meta line.
@@ -563,555 +501,656 @@ func yieldWatch(preempt, handoff <-chan struct{}) (<-chan struct{}, func()) {
 	return yield, func() { close(stop) }
 }
 
-// parkEnvelope finds a home for an interrupted stream's checkpoint: the
-// first healthy peer that adopts it (the client is redirected there via
-// resume_addr), falling back to the local spool.
-func (s *Server) parkEnvelope(id int64, env []byte) (token, addr string) {
-	if s.peers != nil {
-		if tok, peer, ok := s.peers.Handoff(env); ok {
-			s.met.handoffSentInc()
-			s.log.Info("stream handed to peer", "id", id, "peer", peer)
-			return tok, peer
-		}
-	}
-	tok, err := s.spool.Put(env)
-	if err != nil {
-		s.log.Warn("checkpoint not spooled", "id", id, "err", err)
-		return "", ""
-	}
-	s.met.checkpointed()
-	return tok, ""
+// request is one /v1/sample call as it moves through handleSample's
+// stages; each stage reads what the earlier ones filled in.
+type request struct {
+	w       http.ResponseWriter
+	r       *http.Request
+	flusher http.Flusher // nil when the writer cannot flush
+	t0      time.Time
+	id      int64
+
+	// parseQuery
+	tenant     string
+	weight     int
+	target     int
+	timeout    time.Duration
+	seed       int64
+	projection []int     // nil inherits the formula's declared set
+	assume     []cnf.Lit // canonical
+
+	// resolve: ck and ckData are set once a ?resume= token has been taken
+	// from the spool and decoded.
+	ck     *sampling.Checkpoint
+	ckData []byte
+	prob   *sampling.Problem
+
+	// admit: the session's GD batch, its ledger reservation and its worker
+	// slot. Preemption gives the last two back between legs; release
+	// returns whatever is still held.
+	batch     int
+	est       int64
+	memHeld   bool
+	grant     *Grant
+	queueWait time.Duration
+
+	// openSession, streamLegs
+	sess        *sampling.Session
+	projVars    int
+	delivered   int
+	st          sampling.Stats
+	serr        error
+	resumeToken string
+	resumeAddr  string
+	preemptions int
+	preempted   bool
 }
 
+// refusal ends a request before its stream opens with errorBody's status,
+// message, outcome label and Retry-After. Status 0 is a client already
+// gone: the outcome is counted and nothing is written. spent marks a
+// refusal caused by the resume envelope itself, which is not put back
+// into the spool.
+type refusal struct {
+	status     int
+	msg        string
+	outcome    string
+	retryAfter string
+	spent      bool
+}
+
+var (
+	refuseGone     = &refusal{outcome: outcomeCancelled}
+	refuseDraining = &refusal{status: http.StatusServiceUnavailable, msg: "server draining",
+		outcome: outcomeDraining, retryAfter: "5"}
+)
+
+// queueRefusals maps AcquireGrant's typed errors to their refusals; any
+// other error is a client that disconnected while queued.
+var queueRefusals = []struct {
+	err error
+	ref *refusal
+}{
+	{ErrQueueFull, &refusal{status: http.StatusTooManyRequests, msg: "queue full", outcome: outcomeShedQueue, retryAfter: "1"}},
+	{ErrTenantFull, &refusal{status: http.StatusTooManyRequests, msg: "tenant queue share full", outcome: outcomeShedTenant, retryAfter: "1"}},
+	// A drain started while the request waited for a slot: the same clean
+	// 503 a fresh arrival gets, instead of riding out the grace period.
+	{ErrDraining, refuseDraining},
+}
+
+func badRequest(msg string) *refusal {
+	return &refusal{status: http.StatusBadRequest, msg: msg, outcome: outcomeBadRequest}
+}
+
+// errClientGone reports a client that disconnected while its request
+// waited at the compile gate.
+var errClientGone = errors.New("server: client gone")
+
+// handleSample serves POST /v1/sample as a fixed sequence of stages over
+// one request. A stage before the stream opens may refuse the request,
+// which then ends through the one refusal exit; release returns the
+// ledger reservation and worker slot on every path.
 func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	id := s.seq.Add(1)
-	if s.draining.Load() {
-		s.errorBody(w, http.StatusServiceUnavailable, "server draining", outcomeDraining, "5")
+	q := &request{w: w, r: r, t0: time.Now(), id: s.seq.Add(1)}
+	defer s.release(q)
+	for _, stage := range []func(*request) *refusal{
+		s.parseQuery, s.resolve, s.precheck, s.admit, s.openSession,
+	} {
+		if ref := stage(q); ref != nil {
+			s.refuse(q, ref)
+			return
+		}
+	}
+	// The session context: request deadline + client disconnect (via
+	// r.Context) + drain cancellation.
+	ctx, cancel := context.WithTimeout(r.Context(), q.timeout)
+	defer cancel()
+	stopDrainWatch := context.AfterFunc(s.sessCtx, cancel)
+	defer stopDrainWatch()
+	if err := s.writeMeta(q); err != nil {
+		s.met.request(outcomeStreamErr)
 		return
 	}
+	s.streamLegs(ctx, q)
+	s.finish(q)
+}
 
+// refuse is the one exit for a request refused before its stream opens.
+// Tokens are one-shot, but a Take followed by a refusal must not destroy
+// the checkpoint: unless the envelope itself is at fault, it goes back
+// into the spool under the same token (the token IS the content hash), so
+// the client's retry after backoff still resumes.
+func (s *Server) refuse(q *request, ref *refusal) {
+	if q.ck != nil && !ref.spent {
+		if _, err := s.spool.Put(q.ckData); err != nil {
+			s.log.Warn("could not re-spool checkpoint after refusal", "id", q.id, "err", err)
+		}
+	}
+	if ref.status == http.StatusTooManyRequests {
+		s.log.Warn("shed", "id", q.id, "tenant", q.tenant, "reason", ref.outcome,
+			"estimate", q.est, "key", short(q.prob.Key()))
+	}
+	if ref.status == 0 {
+		s.met.request(ref.outcome)
+		return
+	}
+	s.errorBody(q.w, ref.status, ref.msg, ref.outcome, ref.retryAfter)
+}
+
+// release returns what the request still holds: its worker slot and its
+// ledger reservation.
+func (s *Server) release(q *request) {
+	if q.grant != nil {
+		q.grant.Release()
+		q.grant = nil
+	}
+	if q.memHeld {
+		s.unreserve(q.est)
+		q.memHeld = false
+	}
+}
+
+// parseQuery reads the request's tenant, weight, target, deadline, seed,
+// projection and assumptions. A draining server refuses everything here.
+func (s *Server) parseQuery(q *request) *refusal {
+	if s.draining.Load() {
+		return refuseDraining
+	}
+	query := q.r.URL.Query()
 	// The edge-set header wins over the query parameter: when a trusted
 	// proxy asserts tenant identity, a client must not be able to
 	// impersonate (or fabricate) tenants by appending ?tenant=.
-	tenant := r.Header.Get("X-Tenant")
-	if tenant == "" {
-		tenant = r.URL.Query().Get("tenant")
+	q.tenant = q.r.Header.Get("X-Tenant")
+	if q.tenant == "" {
+		q.tenant = query.Get("tenant")
 	}
-	if tenant == "" {
-		tenant = "anon"
+	if q.tenant == "" {
+		q.tenant = "anon"
 	}
-	weight := 1
-	if v, err := strconv.Atoi(r.URL.Query().Get("weight")); err == nil {
-		weight = min(max(v, 1), s.cfg.MaxWeight)
+	q.weight = 1
+	if v, err := strconv.Atoi(query.Get("weight")); err == nil {
+		q.weight = min(max(v, 1), s.cfg.MaxWeight)
 	}
-	target := s.cfg.DefaultTarget
-	if tv := r.URL.Query().Get("target"); tv != "" {
+	q.target = s.cfg.DefaultTarget
+	if tv := query.Get("target"); tv != "" {
 		v, err := strconv.Atoi(tv)
 		if err != nil {
-			s.errorBody(w, http.StatusBadRequest, "bad target", outcomeBadRequest, "")
-			return
+			return badRequest("bad target")
 		}
-		target = v
+		q.target = v
 	}
-	if target > s.cfg.MaxTarget {
-		s.errorBody(w, http.StatusBadRequest,
-			fmt.Sprintf("target exceeds maximum %d", s.cfg.MaxTarget), outcomeBadRequest, "")
-		return
+	if q.target > s.cfg.MaxTarget {
+		return badRequest(fmt.Sprintf("target exceeds maximum %d", s.cfg.MaxTarget))
 	}
-	if target <= 0 {
+	if q.target <= 0 {
 		// "Unbounded" means the server's cap: every admitted stream is
 		// bounded, so its dedup pool is priceable at admission time. The
 		// deadline usually ends such a stream first.
-		target = s.cfg.MaxTarget
+		q.target = s.cfg.MaxTarget
 	}
-	timeout := s.cfg.DefaultTimeout
-	if tv := r.URL.Query().Get("timeout"); tv != "" {
+	q.timeout = s.cfg.DefaultTimeout
+	if tv := query.Get("timeout"); tv != "" {
 		d, err := time.ParseDuration(tv)
 		if err != nil || d <= 0 {
-			s.errorBody(w, http.StatusBadRequest, "bad timeout", outcomeBadRequest, "")
-			return
+			return badRequest("bad timeout")
 		}
-		timeout = min(d, s.cfg.MaxTimeout)
+		q.timeout = min(d, s.cfg.MaxTimeout)
 	}
 	// ?seed= pins the session seed (deterministic replays, differential
 	// chaos harnesses); absent, each request gets a distinct seed derived
 	// from the server base seed and the request counter.
-	seed := s.cfg.Seed + id
-	if sv := r.URL.Query().Get("seed"); sv != "" {
+	q.seed = s.cfg.Seed + q.id
+	if sv := query.Get("seed"); sv != "" {
 		v, err := strconv.ParseInt(sv, 10, 64)
 		if err != nil {
-			s.errorBody(w, http.StatusBadRequest, "bad seed", outcomeBadRequest, "")
-			return
+			return badRequest("bad seed")
 		}
-		seed = v
+		q.seed = v
 	}
-	// ?project= declares the sampling set for this request (comma list or
-	// JSON array); it overrides any "c ind" lines in a posted body. Range
-	// and duplicate validation follows once the formula is resolved.
-	projection, perr := parseProjectionSpec(r.URL.Query().Get("project"))
-	if perr != nil {
-		s.errorBody(w, http.StatusBadRequest, perr.Error(), outcomeBadRequest, "")
-		return
+	// ?project= declares the sampling set for this request; it overrides
+	// any "c ind" lines in a posted body. Range and duplicate validation
+	// follows once the formula is resolved.
+	var err error
+	if q.projection, err = cnf.ParseProjectionList(query.Get("project")); err != nil {
+		return badRequest(err.Error())
 	}
 	// ?assume= pins literals for this request: the compiled artifact is
 	// re-specialized (never recompiled) under the pins and the session
 	// streams only solutions agreeing with them. The specialized artifact
 	// is cached and stored under cnf.AssumeKey(baseKey, pins), so repeat
 	// assumption sets are memory hits.
-	assume, aerr := parseAssumeSpec(r.URL.Query().Get("assume"))
-	if aerr != nil {
-		s.errorBody(w, http.StatusBadRequest, aerr.Error(), outcomeBadRequest, "")
-		return
+	assume, err := cnf.ParseAssumeList(query.Get("assume"))
+	if err != nil {
+		return badRequest(err.Error())
 	}
-	assume = cnf.CanonicalAssume(assume)
+	q.assume = cnf.CanonicalAssume(assume)
+	return nil
+}
 
-	// ?resume= re-admits a checkpointed session from the spool: the token
-	// is one-shot, its envelope self-contained (formula included), and the
-	// restored session is re-priced and re-queued like any fresh request —
-	// resumption is a scheduling event, not a side door around admission
-	// control.
-	var ck *sampling.Checkpoint
-	var ckData []byte
-	if token := r.URL.Query().Get("resume"); token != "" {
-		data, ok := s.spool.Take(token)
-		if !ok {
-			s.errorBody(w, http.StatusNotFound, "unknown or expired resume token", outcomeNotFound, "")
-			return
-		}
-		c, err := sampling.DecodeCheckpoint(data)
-		if err != nil {
-			s.log.Warn("bad resume token", "id", id, "tenant", tenant, "err", err)
-			s.errorBody(w, http.StatusBadRequest, "bad resume token: "+err.Error(), outcomeBadRequest, "")
-			return
-		}
-		ck, ckData = c, data
+// resolve finds the request's compiled problem: from a ?resume= token's
+// envelope, by ?key= (no body), or from the posted DIMACS.
+func (s *Server) resolve(q *request) *refusal {
+	if token := q.r.URL.Query().Get("resume"); token != "" {
+		return s.resolveResume(q, token)
 	}
-	// Tokens are one-shot, but a Take followed by a shed must not destroy
-	// the checkpoint: on any transient admission failure the envelope goes
-	// back into the spool under the same token (it IS the content hash),
-	// so the client's retry-after-backoff still resumes.
-	reSpool := func() {
-		if ck != nil {
-			if _, err := s.spool.Put(ckData); err != nil {
-				s.log.Warn("could not re-spool checkpoint after shed", "id", id, "err", err)
-			}
-		}
+	if key := q.r.URL.Query().Get("key"); key != "" {
+		return s.resolveKey(q, key)
 	}
+	return s.resolveBody(q)
+}
 
-	// Resolve the problem: from a resume token's embedded formula, by
-	// cache key (no body), or by compiling the posted DIMACS through the
-	// shared single-flight cache. New formulas go through the compile
-	// gate so a flood of distinct CNFs runs at most Workers compilations
-	// at once; already-cached formulas (and waiters on an in-flight
-	// compile) bypass it.
-	var prob *sampling.Problem
-	if ck != nil {
-		// The envelope's assumption set is authoritative: a redundant
-		// ?assume= must agree with it (the sharded edge repeats the query
-		// so the resume routes to the specialized key's owner).
-		if len(assume) > 0 && !slices.Equal(assume, ck.Assumptions()) {
-			reSpool()
-			s.errorBody(w, http.StatusBadRequest,
-				"assume does not match the resume envelope's assumption set", outcomeBadRequest, "")
-			return
-		}
-		if p, ok := s.compiler.Lookup(ck.Key()); ok {
-			prob = p
-		} else {
-			// Cold cache (typically: the process restarted between the
-			// checkpoint and the resume) — recompile from the envelope,
-			// re-specializing when it carries assumptions.
-			select {
-			case s.compileGate <- struct{}{}:
-			case <-r.Context().Done():
-				reSpool()
-				s.met.request(outcomeCancelled)
-				return
-			}
-			p, err := s.compiler.CompileAssume(ck.Formula(), ck.Assumptions())
-			<-s.compileGate
-			if err != nil {
-				s.errorBody(w, http.StatusBadRequest, "resume compile: "+err.Error(), outcomeBadRequest, "")
-				return
-			}
-			prob = p
-		}
-	} else if key := r.URL.Query().Get("key"); key != "" {
-		p, ok, err := s.compiler.LookupAssume(key, assume)
-		if errors.Is(err, core.ErrBadAssume) {
-			// The base artifact exists but the pins are invalid for it —
-			// the client's error, not a cache miss.
-			s.errorBody(w, http.StatusBadRequest, err.Error(), outcomeBadRequest, "")
-			return
-		}
-		if err != nil {
-			s.errorBody(w, http.StatusInternalServerError, err.Error(), outcomeStreamErr, "")
-			return
-		}
-		if !ok {
-			s.errorBody(w, http.StatusNotFound, "unknown problem key", outcomeNotFound, "")
-			return
-		}
-		// A key identifies a compiled artifact; a request projection rides
-		// on the session instead of the cache key (the artifact is
-		// projection-independent — only solution identity changes).
-		if err := cnf.ValidateProjection(p.Formula().NumVars, projection); err != nil {
-			s.errorBody(w, http.StatusBadRequest, err.Error(), outcomeBadRequest, "")
-			return
-		}
-		prob = p
-	} else {
-		select {
-		case s.parseGate <- struct{}{}:
-		case <-r.Context().Done():
-			s.met.request(outcomeCancelled)
-			return
-		}
-		f, err := cnf.ParseDIMACSLimits(r.Body, s.cfg.Limits)
-		switch {
-		case errors.Is(err, cnf.ErrLimit):
-			<-s.parseGate
-			s.errorBody(w, http.StatusRequestEntityTooLarge, err.Error(), outcomeTooLarge, "")
-			return
-		case err != nil:
-			<-s.parseGate
-			s.errorBody(w, http.StatusBadRequest, err.Error(), outcomeBadRequest, "")
-			return
-		}
-		// The request projection becomes part of the formula — and so of
-		// its content-hash cache key — before any cache probe: a formula's
-		// sampling set is part of its identity, and sessions inherit it.
-		if projection != nil {
-			if err := cnf.ValidateProjection(f.NumVars, projection); err != nil {
-				<-s.parseGate
-				s.errorBody(w, http.StatusBadRequest, err.Error(), outcomeBadRequest, "")
-				return
-			}
-			f.Projection = projection
-		}
-		// With pins the cache identity shifts to the specialized key; the
-		// warm probe looks there so repeat assumption sets bypass both
-		// gates exactly like repeat formulas do.
-		probeKey := sampling.HashFormula(f)
-		if len(assume) > 0 {
-			probeKey = cnf.AssumeKey(probeKey, assume)
-		}
-		if p, ok := s.compiler.Lookup(probeKey); ok {
-			<-s.parseGate
-			prob = p
-		} else {
-			// The parse gate is held until the compile slot is acquired:
-			// releasing it earlier would let goroutines blocked on the
-			// compile gate accumulate parsed Formulas without bound —
-			// formula holders are capped at parseGate+compileGate slots.
-			select {
-			case s.compileGate <- struct{}{}:
-				<-s.parseGate
-			case <-r.Context().Done():
-				<-s.parseGate
-				s.met.request(outcomeCancelled)
-				return
-			}
-			p, err := s.compiler.CompileAssume(f, assume)
-			<-s.compileGate
-			if err != nil {
-				s.errorBody(w, http.StatusBadRequest, "compile: "+err.Error(), outcomeBadRequest, "")
-				return
-			}
-			prob = p
-		}
+// resolveResume re-admits a checkpointed session from the spool: the token
+// is one-shot, its envelope self-contained (formula included), and the
+// restored session is re-priced and re-queued like any fresh request —
+// resumption is a scheduling event, not a side door around admission
+// control.
+func (s *Server) resolveResume(q *request, token string) *refusal {
+	data, ok := s.spool.Take(token)
+	if !ok {
+		return &refusal{status: http.StatusNotFound, msg: "unknown or expired resume token", outcome: outcomeNotFound}
 	}
-
-	// UNSAT-under-assumptions precheck: a bounded CDCL probe on the base
-	// formula rejects contradictory pin sets with a typed error before the
-	// session is priced and queued. Unknown (conflict budget exhausted)
-	// admits the request — the stream then honestly reports zero solutions
-	// if the space is empty.
-	if ck == nil && len(prob.Assumptions()) > 0 {
-		sv := sat.NewSolver(prob.Formula(), sat.Options{MaxConflicts: assumePrecheckConflicts})
-		if st := sv.SolveAssume(prob.Assumptions()...); st == sat.Unsat {
-			s.errorBody(w, http.StatusConflict,
-				"formula is unsatisfiable under the given assumptions", outcomeUnsatAssume, "")
-			return
-		}
+	ck, err := sampling.DecodeCheckpoint(data)
+	if err != nil {
+		s.log.Warn("bad resume token", "id", q.id, "tenant", q.tenant, "err", err)
+		return badRequest("bad resume token: " + err.Error())
 	}
-
-	// Admission control. Memory first: reserving before queueing keeps the
-	// wait queue free of jobs that could not run anyway, and the ledger
-	// covers queued + active sessions so the budget can never be exceeded.
-	// The effective projection width is known pre-admission: the explicit
-	// spec, or the formula's declared set the session would inherit. A
-	// resumed session's shape is fixed by its checkpoint — the batch it
-	// was snapshotted with is the batch it restores at — so it is priced
-	// at that batch, not at what this server would size a fresh session.
-	var batch int
-	var est int64
-	if ck != nil {
-		sn := ck.Snapshot()
-		batch = sn.Batch()
-		est = s.estimateSession(prob, batch, max(target, sn.UniqueCount()), sn.ProjectionWidth(), sn.Momentum())
-	} else {
-		effProj := len(projection)
-		if effProj == 0 {
-			effProj = len(prob.Formula().Projection)
-		}
-		batch, est = s.sessionShape(prob, target, effProj)
+	q.ck, q.ckData = ck, data
+	// The envelope's assumption set is authoritative: a redundant ?assume=
+	// must agree with it (the sharded edge repeats the query so the resume
+	// routes to the specialized key's owner).
+	if len(q.assume) > 0 && !slices.Equal(q.assume, ck.Assumptions()) {
+		return badRequest("assume does not match the resume envelope's assumption set")
 	}
-	if !s.reserve(est) {
-		reSpool()
-		s.log.Warn("shed", "id", id, "tenant", tenant, "reason", "memory",
-			"estimate", est, "key", short(prob.Key()))
-		s.errorBody(w, http.StatusTooManyRequests, "session memory budget exhausted", outcomeShedMemory, "2")
-		return
-	}
-	// Preemption temporarily gives the reservation (and the grant) back;
-	// the flags keep the deferred cleanup balanced across those gaps.
-	memHeld := true
-	defer func() {
-		if memHeld {
-			s.unreserve(est)
-		}
-	}()
-
-	qt0 := time.Now()
-	grant, err := s.queue.AcquireGrant(r.Context(), tenant, weight)
-	if errors.Is(err, ErrQueueFull) {
-		reSpool()
-		s.log.Warn("shed", "id", id, "tenant", tenant, "reason", "queue", "key", short(prob.Key()))
-		s.errorBody(w, http.StatusTooManyRequests, "queue full", outcomeShedQueue, "1")
-		return
-	}
-	if errors.Is(err, ErrTenantFull) {
-		reSpool()
-		s.log.Warn("shed", "id", id, "tenant", tenant, "reason", "tenant_queue", "key", short(prob.Key()))
-		s.errorBody(w, http.StatusTooManyRequests, "tenant queue share full", outcomeShedTenant, "1")
-		return
-	}
-	if errors.Is(err, ErrDraining) {
-		// A drain started while this request waited for a slot: same clean
-		// 503 a fresh arrival gets, instead of riding out the grace period
-		// blocked in the queue.
-		reSpool()
-		s.errorBody(w, http.StatusServiceUnavailable, "server draining", outcomeDraining, "5")
-		return
+	q.prob, q.batch, q.est, err = s.resolveCheckpoint(q.r.Context(), ck, q.target)
+	if errors.Is(err, errClientGone) {
+		return refuseGone
 	}
 	if err != nil {
-		// Client disconnected while waiting; nothing can be written.
-		reSpool()
-		s.met.request(outcomeCancelled)
-		return
+		return &refusal{status: http.StatusBadRequest, msg: "resume compile: " + err.Error(), outcome: outcomeBadRequest, spent: true}
 	}
-	defer func() {
-		if grant != nil {
-			grant.Release()
+	return nil
+}
+
+// resolveCheckpoint is the one checkpoint-to-problem path, shared by
+// ?resume= and /v1/adopt. The problem is the artifact cached under the
+// envelope's key (the specialized key when it carries assumptions), or on
+// a cold cache — typically the process restarted between checkpoint and
+// resume — CompileAssume of the envelope's formula and assumptions under
+// the compile gate. The session is priced at the batch it was snapshotted
+// with (a restored session runs at that batch, whatever this server would
+// size a fresh one at) and its pool at max(target, unique); adopt passes
+// target 0.
+func (s *Server) resolveCheckpoint(ctx context.Context, ck *sampling.Checkpoint, target int) (prob *sampling.Problem, batch int, est int64, err error) {
+	prob, ok := s.compiler.Lookup(ck.Key())
+	if !ok {
+		if prob, err = s.compileGated(ctx, ck.Formula(), ck.Assumptions(), false); err != nil {
+			return nil, 0, 0, err
 		}
-	}()
+	}
+	sn := ck.Snapshot()
+	batch = sn.Batch()
+	est = s.estimateSession(prob, batch, max(target, sn.UniqueCount()), sn.ProjectionWidth(), sn.Momentum())
+	return prob, batch, est, nil
+}
+
+// compileGated is the one compile-gate acquire/release: CompileAssume runs
+// once a compile slot is free, so a flood of distinct CNFs runs at most
+// Workers compilations at once (cache hits never get here). A posted-body
+// caller holds a parse-gate slot (parsing) until the compile slot is
+// acquired: releasing it earlier would let goroutines blocked here
+// accumulate parsed Formulas without bound — formula holders are capped
+// at parseGate+compileGate slots.
+func (s *Server) compileGated(ctx context.Context, f *cnf.Formula, assume []cnf.Lit, parsing bool) (*sampling.Problem, error) {
+	acquired := false
+	select {
+	case s.compileGate <- struct{}{}:
+		acquired = true
+	case <-ctx.Done():
+	}
+	if parsing {
+		<-s.parseGate
+	}
+	if !acquired {
+		return nil, errClientGone
+	}
+	defer func() { <-s.compileGate }()
+	return s.compiler.CompileAssume(f, assume)
+}
+
+// resolveKey serves a submit-by-key request from the compile cache and its
+// durable tier, specialized under the request's pins.
+func (s *Server) resolveKey(q *request, key string) *refusal {
+	p, ok, err := s.compiler.LookupAssume(key, q.assume)
+	switch {
+	case errors.Is(err, core.ErrBadAssume):
+		// The base artifact exists but the pins are invalid for it — the
+		// client's error, not a cache miss.
+		return badRequest(err.Error())
+	case err != nil:
+		return &refusal{status: http.StatusInternalServerError, msg: err.Error(), outcome: outcomeStreamErr}
+	case !ok:
+		return &refusal{status: http.StatusNotFound, msg: "unknown problem key", outcome: outcomeNotFound}
+	}
+	// A key identifies a compiled artifact; a request projection rides on
+	// the session instead of the cache key (the artifact is
+	// projection-independent — only solution identity changes).
+	if err := cnf.ValidateProjection(p.Formula().NumVars, q.projection); err != nil {
+		return badRequest(err.Error())
+	}
+	q.prob = p
+	return nil
+}
+
+// resolveBody parses the posted DIMACS under the parse gate and resolves it
+// through the shared single-flight cache, compiling on a miss.
+func (s *Server) resolveBody(q *request) *refusal {
+	select {
+	case s.parseGate <- struct{}{}:
+	case <-q.r.Context().Done():
+		return refuseGone
+	}
+	f, err := cnf.ParseDIMACSLimits(q.r.Body, s.cfg.Limits)
+	if errors.Is(err, cnf.ErrLimit) {
+		<-s.parseGate
+		return &refusal{status: http.StatusRequestEntityTooLarge, msg: err.Error(), outcome: outcomeTooLarge}
+	}
+	// The request projection becomes part of the formula — and so of its
+	// content-hash cache key — before any cache probe: a formula's
+	// sampling set is part of its identity, and sessions inherit it.
+	if err == nil {
+		err = cnf.ValidateProjection(f.NumVars, q.projection)
+	}
+	if err != nil {
+		<-s.parseGate
+		return badRequest(err.Error())
+	}
+	if q.projection != nil {
+		f.Projection = q.projection
+	}
+	// With pins the cache identity shifts to the specialized key; the warm
+	// probe looks there so repeat assumption sets bypass both gates exactly
+	// like repeat formulas do.
+	if p, ok := s.compiler.Lookup(cnf.AssumeKey(sampling.HashFormula(f), q.assume)); ok {
+		<-s.parseGate
+		q.prob = p
+		return nil
+	}
+	p, err := s.compileGated(q.r.Context(), f, q.assume, true)
+	if errors.Is(err, errClientGone) {
+		return refuseGone
+	}
+	if err != nil {
+		return badRequest("compile: " + err.Error())
+	}
+	q.prob = p
+	return nil
+}
+
+// precheck rejects UNSAT-under-assumptions requests: a bounded CDCL probe
+// on the base formula refuses contradictory pin sets with a typed error
+// before the session is priced and queued. Unknown (conflict budget
+// exhausted) admits the request — the stream then honestly reports zero
+// solutions if the space is empty. A resumed session is not re-probed.
+func (s *Server) precheck(q *request) *refusal {
+	if q.ck != nil || len(q.prob.Assumptions()) == 0 {
+		return nil
+	}
+	sv := sat.NewSolver(q.prob.Formula(), sat.Options{MaxConflicts: assumePrecheckConflicts})
+	if sv.SolveAssume(q.prob.Assumptions()...) == sat.Unsat {
+		return &refusal{status: http.StatusConflict, msg: "formula is unsatisfiable under the given assumptions",
+			outcome: outcomeUnsatAssume}
+	}
+	return nil
+}
+
+// admit prices the session and admits it. Memory first: reserving before
+// queueing keeps the wait queue free of jobs that could not run anyway,
+// and the ledger covers queued + active sessions so the budget can never
+// be exceeded. Then a worker slot, in weighted-fair order.
+func (s *Server) admit(q *request) *refusal {
+	if q.ck == nil {
+		// The effective projection width is known pre-admission: the
+		// explicit spec, or the formula's declared set the session would
+		// inherit. (resolveCheckpoint priced a resume at its checkpoint's
+		// batch.)
+		effProj := len(q.projection)
+		if effProj == 0 {
+			effProj = len(q.prob.Formula().Projection)
+		}
+		q.batch, q.est = s.sessionShape(q.prob, q.target, effProj)
+	}
+	if !s.reserve(q.est) {
+		return &refusal{status: http.StatusTooManyRequests, msg: "session memory budget exhausted", outcome: outcomeShedMemory, retryAfter: "2"}
+	}
+	q.memHeld = true
+	qt0 := time.Now()
+	grant, err := s.queue.AcquireGrant(q.r.Context(), q.tenant, q.weight)
+	if err != nil {
+		for _, qr := range queueRefusals {
+			if errors.Is(err, qr.err) {
+				return qr.ref
+			}
+		}
+		return refuseGone
+	}
+	q.grant = grant
 	// Pure slot wait — parse/compile time is excluded so operators tuning
 	// Workers/QueueDepth see real queueing pressure, not compile cost.
-	queueWait := time.Since(qt0)
+	q.queueWait = time.Since(qt0)
+	return nil
+}
 
-	var sess *sampling.Session
-	if ck != nil {
-		// The restored session resumes the checkpointed stream exactly:
-		// batch, seed, projection, pool and delivery cursor all come from
-		// the envelope (streams are device-independent, so it runs on this
-		// server's device whatever the original ran on).
-		sess, err = prob.RestoreSession(ck, s.cfg.Device)
+// openSession starts the request's session: fresh at the priced batch, or
+// restored from the checkpoint — batch, seed, projection, pool and
+// delivery cursor all come from the envelope (streams are
+// device-independent, so it runs on this server's device whatever the
+// original ran on).
+func (s *Server) openSession(q *request) *refusal {
+	var err error
+	if q.ck != nil {
+		q.sess, err = q.prob.RestoreSession(q.ck, s.cfg.Device)
 	} else {
-		sess, err = prob.NewSession(sampling.SessionConfig{
-			BatchSize:  batch,
-			Seed:       seed,
+		q.sess, err = q.prob.NewSession(sampling.SessionConfig{
+			BatchSize:  q.batch,
+			Seed:       q.seed,
 			Device:     s.cfg.Device,
-			Projection: projection, // nil inherits the formula's declared set
+			Projection: q.projection,
 		})
 	}
 	if err != nil {
-		s.errorBody(w, http.StatusInternalServerError, err.Error(), outcomeStreamErr, "")
-		return
+		return &refusal{status: http.StatusInternalServerError, msg: err.Error(), outcome: outcomeStreamErr, spent: true}
 	}
-	if ck != nil {
-		s.met.resumed()
+	if q.ck != nil {
+		s.met.inc(&s.met.resumes)
 	}
-	projVars := len(sess.Projection())
+	q.projVars = len(q.sess.Projection())
+	return nil
+}
 
-	// The session context: request deadline + client disconnect (via
-	// r.Context) + drain cancellation.
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	stopDrainWatch := context.AfterFunc(s.sessCtx, cancel)
-	defer stopDrainWatch()
+// writeMeta opens the NDJSON stream: the response head, then the meta line.
+func (s *Server) writeMeta(q *request) error {
+	q.w.Header().Set("Content-Type", "application/x-ndjson")
+	q.w.Header().Set("X-Problem-Key", q.prob.Key())
+	q.w.WriteHeader(http.StatusOK)
+	q.flusher, _ = q.w.(http.Flusher)
+	return q.writeLine(metaLine{
+		Type: "meta", Key: q.prob.Key(), Batch: q.batch, Target: q.target,
+		ProjectedVars: q.projVars,
+		Assumptions:   litInts(q.prob.Assumptions()),
+		Resumed:       q.ck != nil,
+		Delivered:     q.sess.Delivered(),
+		QueueMS:       float64(q.queueWait.Microseconds()) / 1e3,
+	})
+}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Problem-Key", prob.Key())
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	writeLine := func(v any) error {
-		if err := enc.Encode(v); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
+// writeLine writes one JSON line and flushes it to the client.
+func (q *request) writeLine(v any) error {
+	if err := json.NewEncoder(q.w).Encode(v); err != nil {
+		return err
 	}
-	if err := writeLine(metaLine{
-		Type: "meta", Key: prob.Key(), Batch: batch, Target: target,
-		ProjectedVars: projVars,
-		Assumptions:   litInts(prob.Assumptions()),
-		Resumed:       ck != nil,
-		Delivered:     sess.Delivered(),
-		QueueMS:       float64(queueWait.Microseconds()) / 1e3,
-	}); err != nil {
-		s.met.request(outcomeStreamErr)
-		return
+	if q.flusher != nil {
+		q.flusher.Flush()
 	}
+	return nil
+}
 
+// streamLegs runs the session in legs: a leg ends at the target, the
+// deadline, an error — or a yield request (preemption or handoff) at a
+// tick boundary. A preempted leg re-files the request (requeue) and
+// continues the same session on this same connection; a handoff leg parks
+// the checkpoint on a peer and ends the stream.
+func (s *Server) streamLegs(ctx context.Context, q *request) {
 	// The continuous scheduler can overshoot small targets by a whole
 	// retired batch; the service contract is "at most target solutions per
 	// request", so the sink stops the stream at exactly the target.
 	// Delivery is counted on the session (not this request) so a resumed
 	// stream's earlier deliveries count toward its target.
-	delivered := 0
 	var line []byte // one solution line, reused across the stream
 	sink := func(sol []bool) error {
 		line = appendSolutionLine(line[:0], sol)
-		if _, err := w.Write(line); err != nil {
+		if _, err := q.w.Write(line); err != nil {
 			return err
 		}
-		if flusher != nil {
-			flusher.Flush()
+		if q.flusher != nil {
+			q.flusher.Flush()
 		}
-		delivered++
-		s.met.addSolutions(1, projVars > 0, time.Now())
-		if target > 0 && sess.Delivered() >= target {
+		q.delivered++
+		s.met.addSolutions(1, q.projVars > 0, time.Now())
+		if q.target > 0 && q.sess.Delivered() >= q.target {
 			return sampling.Stop
 		}
 		return nil
 	}
-
-	// The stream runs in legs: a leg ends at the target, the deadline, an
-	// error — or a yield request (preemption or handoff) at a tick
-	// boundary. A preempted leg spools a checkpoint, gives back slot +
-	// memory, re-files behind a fresh SFQ tag (behind every starved waiter
-	// that triggered it), and continues the same session on this same
-	// connection; a handoff leg parks the checkpoint on a peer and ends the
-	// stream.
 	handoffCh := s.handoff.Load().ch
-	var preemptCh <-chan struct{}
-	var st sampling.Stats
-	var serr error
-	var resumeToken, resumeAddr string
-	preemptions := 0
-	preempted := false
 	preemptBroken := false // a failed checkpoint pins the session to its slot
 	for {
-		preemptCh = nil
-		if grant != nil && !preemptBroken {
-			preemptCh = grant.Preempt
+		var preemptCh <-chan struct{}
+		if !preemptBroken {
+			preemptCh = q.grant.Preempt
 		}
 		yield, stopYield := yieldWatch(preemptCh, handoffCh)
-		st, serr = sess.StreamYield(ctx, target, yield, sink)
+		q.st, q.serr = q.sess.StreamYield(ctx, q.target, yield, sink)
 		stopYield()
-		if serr != nil || !st.Yielded {
-			break
+		if q.serr != nil || !q.st.Yielded {
+			return
 		}
-		isPreempt := false
 		select {
-		case <-grant.Preempt:
-			isPreempt = true
+		case <-q.grant.Preempt:
 		default:
-		}
-		env, cerr := sess.Checkpoint()
-		if cerr != nil {
-			// A session that cannot be checkpointed cannot move: keep
-			// streaming and stop watching the signal that fired.
-			s.log.Warn("yield checkpoint failed; stream pinned", "id", id, "err", cerr)
-			if isPreempt {
-				preemptBroken = true
-			} else {
-				handoffCh = nil
+			// Handoff: the checkpoint moves to a peer (spool fallback) and
+			// the client re-attaches wherever the token landed. A session
+			// that cannot be checkpointed keeps streaming here and stops
+			// watching the handoff signal.
+			if s.checkpointPark(q, "handoff") {
+				return
 			}
+			handoffCh = nil
 			continue
 		}
-		if !isPreempt {
-			// Handoff: the checkpoint moves to a peer (spool fallback) and
-			// the client re-attaches wherever the token landed.
-			resumeToken, resumeAddr = s.parkEnvelope(id, env)
-			break
+		env, err := q.sess.Checkpoint()
+		if err != nil {
+			s.log.Warn("preempt checkpoint failed; stream pinned", "id", q.id, "err", err)
+			preemptBroken = true
+			continue
 		}
-		preemptions++
-		s.met.preempted()
-		// Spool before giving anything up: if the process dies while this
-		// request is parked in the queue, the checkpoint survives.
-		tok, perr := s.spool.Put(env)
-		if perr != nil {
-			s.log.Warn("preempt checkpoint not spooled; held in memory only", "id", id, "err", perr)
+		if !s.requeue(q, env) {
+			return
 		}
-		s.unreserve(est)
-		memHeld = false
-		grant.Release()
-		grant = nil
-		s.log.Info("preempted", "id", id, "tenant", tenant, "delivered", sess.Delivered())
-		g2, qerr := s.queue.AcquireGrant(r.Context(), tenant, weight)
-		if qerr != nil {
-			// Could not get back in (drain, full queue, disconnect): hand
-			// the client its token; the checkpoint stays spooled.
-			resumeToken, preempted = tok, true
-			break
-		}
-		grant = g2
-		if !s.reserve(est) {
-			resumeToken, preempted = tok, true
-			break
-		}
-		memHeld = true
-		if tok != "" {
-			// The session continues here; reclaim the safety copy.
-			s.spool.Take(tok)
-		}
-		// The parked session is quiescent and Checkpoint left it untouched,
-		// so the next leg continues it directly.
 	}
+}
 
-	drained := s.sessCtx.Err() != nil && st.Timeout
-	// A drained stream parks its full state — on a peer when one will
-	// adopt it, in the local spool otherwise — and hands the client a
-	// resume token on the summary line: the drain preserved the session
-	// instead of discarding it, so nothing is lost across the restart.
-	if drained && serr == nil && resumeToken == "" {
-		if env, cerr := sess.Checkpoint(); cerr != nil {
-			s.log.Warn("drain checkpoint failed", "id", id, "err", cerr)
-		} else {
-			resumeToken, resumeAddr = s.parkEnvelope(id, env)
+// requeue is the preemption leg. The checkpoint is spooled before anything
+// is given up, so it survives a process death while the request is parked
+// in the queue; then slot and memory go back and the request re-files
+// behind a fresh SFQ tag — behind every starved waiter that triggered the
+// preemption. It reports false when the request could not get back in
+// (drain, full queue, disconnect, memory): the client gets the spooled
+// token. On true the parked session, quiescent and untouched by
+// Checkpoint, continues in the next leg.
+func (s *Server) requeue(q *request, env []byte) bool {
+	q.preemptions++
+	s.met.inc(&s.met.preemptions)
+	tok, err := s.spool.Put(env)
+	if err != nil {
+		s.log.Warn("preempt checkpoint not spooled; held in memory only", "id", q.id, "err", err)
+	}
+	s.release(q)
+	s.log.Info("preempted", "id", q.id, "tenant", q.tenant, "delivered", q.sess.Delivered())
+	if q.grant, err = s.queue.AcquireGrant(q.r.Context(), q.tenant, q.weight); err == nil {
+		q.memHeld = s.reserve(q.est)
+	}
+	if !q.memHeld {
+		q.resumeToken, q.preempted = tok, true
+		return false
+	}
+	if tok != "" {
+		// The session continues here; reclaim the safety copy.
+		s.spool.Take(tok)
+	}
+	return true
+}
+
+// checkpointPark is the one checkpoint-then-park step of the handoff and
+// drain legs: it checkpoints the session and finds the envelope a home —
+// the first healthy peer that adopts it (the client is redirected there
+// via resume_addr), else the local spool. It reports false when the
+// session could not be checkpointed.
+func (s *Server) checkpointPark(q *request, leg string) bool {
+	env, err := q.sess.Checkpoint()
+	if err != nil {
+		s.log.Warn(leg+" checkpoint failed", "id", q.id, "err", err)
+		return false
+	}
+	if s.peers != nil {
+		if tok, peer, ok := s.peers.Handoff(env); ok {
+			s.met.inc(&s.met.handoffSent)
+			s.log.Info("stream handed to peer", "id", q.id, "peer", peer)
+			q.resumeToken, q.resumeAddr = tok, peer
+			return true
 		}
+	}
+	if q.resumeToken, err = s.spool.Put(env); err != nil {
+		s.log.Warn("checkpoint not spooled", "id", q.id, "err", err)
+		return true
+	}
+	s.met.inc(&s.met.checkpoints)
+	return true
+}
+
+// finish closes the stream. A drained stream parks its full state and
+// hands the client a resume token on the done line: the drain preserved
+// the session instead of discarding it, so nothing is lost across the
+// restart.
+func (s *Server) finish(q *request) {
+	drained := s.sessCtx.Err() != nil && q.st.Timeout
+	if drained && q.serr == nil && q.resumeToken == "" {
+		s.checkpointPark(q, "drain")
 	}
 	outcome := outcomeOK
-	if serr != nil {
+	if q.serr != nil {
 		outcome = outcomeStreamErr
 	} else {
-		_ = writeLine(doneLine{
-			Type: "done", Unique: st.Unique, Delivered: delivered,
-			ProjectedVars: projVars, Calls: st.Calls,
-			ElapsedMS: float64(st.Elapsed.Microseconds()) / 1e3,
-			SolPerSec: st.Throughput(), Timeout: st.Timeout,
-			Exhausted: st.Exhausted, Drained: drained,
-			Resume: resumeToken, ResumeAddr: resumeAddr,
-			Preempted: preempted, Preemptions: preemptions,
+		_ = q.writeLine(doneLine{
+			Type: "done", Unique: q.st.Unique, Delivered: q.delivered,
+			ProjectedVars: q.projVars, Calls: q.st.Calls,
+			ElapsedMS: float64(q.st.Elapsed.Microseconds()) / 1e3,
+			SolPerSec: q.st.Throughput(), Timeout: q.st.Timeout,
+			Exhausted: q.st.Exhausted, Drained: drained,
+			Resume: q.resumeToken, ResumeAddr: q.resumeAddr,
+			Preempted: q.preempted, Preemptions: q.preemptions,
 		})
 	}
-	if projVars > 0 {
-		s.met.projectedRequest()
+	if q.projVars > 0 {
+		s.met.inc(&s.met.projRequests)
 	}
 	s.met.request(outcome)
-	s.log.Info("sample", "id", id, "tenant", tenant, "key", short(prob.Key()),
-		"target", target, "projected", projVars, "unique", st.Unique, "delivered", delivered,
-		"queue_ms", queueWait.Milliseconds(), "elapsed_ms", st.Elapsed.Milliseconds(),
-		"total_ms", time.Since(t0).Milliseconds(), "timeout", st.Timeout,
-		"exhausted", st.Exhausted, "drained", drained, "resumed", ck != nil,
-		"preemptions", preemptions, "handed_off", resumeAddr != "",
-		"checkpointed", resumeToken != "", "outcome", outcome)
+	s.log.Info("sample", "id", q.id, "tenant", q.tenant, "key", short(q.prob.Key()),
+		"target", q.target, "projected", q.projVars, "unique", q.st.Unique, "delivered", q.delivered,
+		"queue_ms", q.queueWait.Milliseconds(), "elapsed_ms", q.st.Elapsed.Milliseconds(),
+		"total_ms", time.Since(q.t0).Milliseconds(), "timeout", q.st.Timeout,
+		"exhausted", q.st.Exhausted, "drained", drained, "resumed", q.ck != nil,
+		"preemptions", q.preemptions, "handed_off", q.resumeAddr != "",
+		"checkpointed", q.resumeToken != "", "outcome", outcome)
 }
 
 // handleHealthz reports liveness plus the capacity hints peers use to pick
