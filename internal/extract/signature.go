@@ -108,12 +108,14 @@ func matchAndOr(cs []cnf.Clause, v int) (*logic.Expr, bool) {
 		return nil, false
 	}
 	var vLit cnf.Lit
+	var ops []cnf.Lit // the gate's operand literals, in wide-clause order
 	rest := map[cnf.Lit]bool{}
 	for _, l := range wide {
 		if l.Var() == v {
 			vLit = l
-		} else {
+		} else if !rest[l] {
 			rest[l] = true
+			ops = append(ops, l)
 		}
 	}
 	if vLit == 0 || len(rest) != len(wide)-1 {
@@ -140,9 +142,9 @@ func matchAndOr(cs []cnf.Clause, v int) (*logic.Expr, bool) {
 	}
 	// vLit negative → OR of rest literals; positive → AND of their
 	// negations.
-	var lits []*logic.Expr
-	for l := range rest {
-		lits = append(lits, logic.Lit(l.Var(), l.Positive()))
+	lits := make([]*logic.Expr, len(ops))
+	for i, l := range ops {
+		lits[i] = logic.Lit(l.Var(), l.Positive())
 	}
 	if !vLit.Positive() {
 		return logic.Or(lits...), true
@@ -179,7 +181,7 @@ func matchXor2(cs []cnf.Clause, v int) (*logic.Expr, bool) {
 			others = append(others, w)
 		}
 	}
-	a, b := others[0], others[1]
+	a, b := min(others[0], others[1]), max(others[0], others[1])
 	// Truth check: conjunction of the 4 clauses equals (v == a⊕b) or its
 	// complement.
 	matchesXor, matchesXnor := true, true
