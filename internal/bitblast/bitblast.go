@@ -15,24 +15,28 @@ import (
 	"repro/internal/cnf"
 )
 
-// blit is a compiled CNF literal: a circuit node index and a complement
-// flag. Literals of variables with no circuit node evaluate to constant
-// false (positive polarity) or true (negative polarity) and are resolved
-// at compile time, mirroring extract.Result.AssignmentFromInputs, which
-// defaults nodeless variables to false.
-type blit struct {
-	node int32
-	neg  bool
+// PlanLit is a compiled CNF literal: a circuit node index and a
+// complement flag. Literals of variables with no circuit node evaluate to
+// constant false (positive polarity) or true (negative polarity) and are
+// resolved at compile time, mirroring extract.Result.AssignmentFromInputs,
+// which defaults nodeless variables to false.
+type PlanLit struct {
+	Node int32
+	Neg  bool
 }
 
 // Program is a compiled bit-parallel verifier for one (circuit, CNF) pair.
 // It is immutable after New; obtain per-goroutine scratch with NewEval.
 type Program struct {
 	circ *circuit.Circuit
-	// clauses lists the clause plan after constant resolution: clauses
+	// lits and ends hold the clause plan after constant resolution:
+	// clause i is lits[ends[i-1]:ends[i]] (from 0 for i = 0). Clauses
 	// made unconditionally true by a nodeless negative literal are
-	// dropped, constant-false literals are removed.
-	clauses [][]blit
+	// dropped, constant-false literals are removed. The flat layout keeps
+	// the plan pointer-free, so building or decoding it is two
+	// allocations.
+	lits []PlanLit
+	ends []int32
 	// unsat is set when some clause lost every literal to constant-false
 	// resolution: no assignment reachable through the circuit satisfies
 	// the CNF, so Verify reports zero valid lanes.
@@ -45,7 +49,7 @@ type Program struct {
 func New(c *circuit.Circuit, nodeOf map[int]circuit.NodeID, f *cnf.Formula) *Program {
 	p := &Program{circ: c}
 	for _, cl := range f.Clauses {
-		compiled := make([]blit, 0, len(cl))
+		start := len(p.lits)
 		sat := false
 		for _, l := range cl {
 			id, ok := nodeOf[l.Var()]
@@ -56,24 +60,25 @@ func New(c *circuit.Circuit, nodeOf map[int]circuit.NodeID, f *cnf.Formula) *Pro
 				}
 				continue // v defaulted false: drop the literal
 			}
-			compiled = append(compiled, blit{node: int32(id), neg: !l.Positive()})
+			p.lits = append(p.lits, PlanLit{Node: int32(id), Neg: !l.Positive()})
 		}
 		if sat {
+			p.lits = p.lits[:start]
 			continue
 		}
-		if len(compiled) == 0 {
+		if len(p.lits) == start {
 			p.unsat = true
-			p.clauses = nil
+			p.lits, p.ends = nil, nil
 			return p
 		}
-		p.clauses = append(p.clauses, compiled)
+		p.ends = append(p.ends, int32(len(p.lits)))
 	}
 	return p
 }
 
 // NumClauses returns the number of clauses retained after constant
 // resolution.
-func (p *Program) NumClauses() int { return len(p.clauses) }
+func (p *Program) NumClauses() int { return len(p.ends) }
 
 // sweepWidth is how many packed words one pass over the node/clause tape
 // evaluates: 4 words = 256 candidate lanes per pass. The unrolled kernels
@@ -471,12 +476,13 @@ func (e *Eval) evalWords(cols [][]uint64, ws *[sweepWidth]int, k int) {
 func (e *Eval) checkWords() (uint64, uint64, uint64, uint64) {
 	s0, s1, s2, s3 := ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
 	vals := e.vals
-	for _, cl := range e.prog.clauses {
+	lits, start := e.prog.lits, int32(0)
+	for _, end := range e.prog.ends {
 		c0, c1, c2, c3 := uint64(0), uint64(0), uint64(0), uint64(0)
-		for _, l := range cl {
-			b := int(l.node) * sweepWidth
+		for _, l := range lits[start:end] {
+			b := int(l.Node) * sweepWidth
 			v0, v1, v2, v3 := vals[b], vals[b+1], vals[b+2], vals[b+3]
-			if l.neg {
+			if l.Neg {
 				v0, v1, v2, v3 = ^v0, ^v1, ^v2, ^v3
 			}
 			c0 |= v0
@@ -484,6 +490,7 @@ func (e *Eval) checkWords() (uint64, uint64, uint64, uint64) {
 			c2 |= v2
 			c3 |= v3
 		}
+		start = end
 		s0 &= c0
 		s1 &= c1
 		s2 &= c2

@@ -429,3 +429,49 @@ func BenchmarkVerify(b *testing.B) {
 		b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 	})
 }
+
+// TestFromPlanValidates: a plan crosses a process boundary, so FromPlan
+// must refuse clause ends that are out of order, empty, past the literals
+// or short of them, and node indices past the circuit; Plan's own output
+// must round-trip.
+func TestFromPlanValidates(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	c := randomCircuit(r, 4, 12)
+	n := int32(c.NumNodes())
+	lits := []bitblast.PlanLit{{Node: 0}, {Node: 1, Neg: true}, {Node: n - 1}}
+	if _, err := bitblast.FromPlan(c, lits, []int32{2, 3}, false); err != nil {
+		t.Fatalf("valid plan refused: %v", err)
+	}
+	for name, ends := range map[string][]int32{
+		"empty clause": {0, 3},
+		"decreasing":   {2, 1},
+		"past lits":    {2, 4},
+		"short":        {2},
+	} {
+		if _, err := bitblast.FromPlan(c, lits, ends, false); err == nil {
+			t.Errorf("%s: ends %v accepted", name, ends)
+		}
+	}
+	bad := []bitblast.PlanLit{{Node: n}}
+	if _, err := bitblast.FromPlan(c, bad, []int32{1}, false); err == nil {
+		t.Error("node past the circuit accepted")
+	}
+	if _, err := bitblast.FromPlan(c, lits, []int32{2, 3}, true); err == nil {
+		t.Error("unsat plan with clauses accepted")
+	}
+
+	f := &cnf.Formula{NumVars: 2, Clauses: []cnf.Clause{{1, -2}, {2}}}
+	ext, err := extract.Transform(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := ext.Verifier(f)
+	pl, pe, unsat := p.Plan()
+	q, err := bitblast.FromPlan(ext.Circuit, pl, pe, unsat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.NumClauses() != p.NumClauses() {
+		t.Fatalf("round trip: %d clauses, want %d", q.NumClauses(), p.NumClauses())
+	}
+}

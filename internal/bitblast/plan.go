@@ -2,6 +2,7 @@ package bitblast
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/circuit"
 )
@@ -13,57 +14,45 @@ import (
 // of verifier construction on large formulas. See internal/core's GDSP
 // problem codec, the only intended consumer.
 
-// PlanLit is one compiled clause literal in exported form: a circuit node
-// index and a complement flag (the blit type, exported).
-type PlanLit struct {
-	Node int32
-	Neg  bool
-}
-
-// Plan returns the compiled clause plan and the unsat flag. The returned
-// slices are fresh copies; mutating them does not affect the Program.
-func (p *Program) Plan() ([][]PlanLit, bool) {
-	clauses := make([][]PlanLit, len(p.clauses))
-	for i, cl := range p.clauses {
-		out := make([]PlanLit, len(cl))
-		for j, l := range cl {
-			out[j] = PlanLit{Node: l.node, Neg: l.neg}
-		}
-		clauses[i] = out
-	}
-	return clauses, p.unsat
+// Plan returns the compiled clause plan and the unsat flag: clause i is
+// lits[ends[i-1]:ends[i]] (from 0 for i = 0). The returned slices are
+// fresh copies; mutating them does not affect the Program.
+func (p *Program) Plan() (lits []PlanLit, ends []int32, unsat bool) {
+	return slices.Clone(p.lits), slices.Clone(p.ends), p.unsat
 }
 
 // FromPlan rebuilds a Program from a previously exported clause plan over
-// c. Every node index is validated against the circuit — a plan can cross
-// a process boundary, so a malformed one must produce an error, never an
-// out-of-range sweep. An unsat plan must carry no clauses (New resolves
-// unsat to an empty plan), and no clause may be empty.
-func FromPlan(c *circuit.Circuit, clauses [][]PlanLit, unsat bool) (*Program, error) {
+// c, in Plan's layout. Every node index and clause end is validated — a
+// plan can cross a process boundary, so a malformed one must produce an
+// error, never an out-of-range sweep. An unsat plan must carry no clauses
+// (New resolves unsat to an empty plan), and no clause may be empty. The
+// Program keeps lits and ends: the caller must not modify them afterwards.
+func FromPlan(c *circuit.Circuit, lits []PlanLit, ends []int32, unsat bool) (*Program, error) {
 	if c == nil {
 		return nil, fmt.Errorf("bitblast: nil circuit")
 	}
-	if unsat && len(clauses) != 0 {
-		return nil, fmt.Errorf("bitblast: unsat plan carries %d clauses", len(clauses))
+	if unsat && (len(ends) != 0 || len(lits) != 0) {
+		return nil, fmt.Errorf("bitblast: unsat plan carries %d clauses", len(ends))
 	}
-	p := &Program{circ: c, unsat: unsat}
-	if len(clauses) == 0 {
-		return p, nil
+	prev := int32(0)
+	for i, end := range ends {
+		if end <= prev || int(end) > len(lits) {
+			return nil, fmt.Errorf("bitblast: clause %d of the plan ends at %d (previous end %d, %d literals)", i, end, prev, len(lits))
+		}
+		prev = end
+	}
+	if int(prev) != len(lits) {
+		return nil, fmt.Errorf("bitblast: plan clauses cover %d of %d literals", prev, len(lits))
 	}
 	n := int32(len(c.Nodes))
-	p.clauses = make([][]blit, len(clauses))
-	for i, cl := range clauses {
-		if len(cl) == 0 {
-			return nil, fmt.Errorf("bitblast: clause %d of the plan is empty", i)
+	for j, l := range lits {
+		if l.Node < 0 || l.Node >= n {
+			return nil, fmt.Errorf("bitblast: plan literal %d references node %d of %d", j, l.Node, n)
 		}
-		out := make([]blit, len(cl))
-		for j, l := range cl {
-			if l.Node < 0 || l.Node >= n {
-				return nil, fmt.Errorf("bitblast: clause %d literal %d references node %d of %d", i, j, l.Node, n)
-			}
-			out[j] = blit{node: l.Node, neg: l.Neg}
-		}
-		p.clauses[i] = out
+	}
+	p := &Program{circ: c, unsat: unsat}
+	if len(ends) > 0 {
+		p.lits, p.ends = lits, ends
 	}
 	return p, nil
 }

@@ -19,11 +19,17 @@ import (
 // formula's hash unchanged and cannot collide — the clause section's
 // length is fully determined by its leading counts.
 func (f *Formula) ContentHash() string {
+	// Varints are batched into one buffer so the digest sees a few large
+	// writes instead of one per literal; the hashed byte stream is the same.
 	h := sha256.New()
-	var buf [binary.MaxVarintLen64]byte
+	const flushAt = 32 << 10
+	buf := make([]byte, 0, flushAt+binary.MaxVarintLen64)
 	writeInt := func(v int64) {
-		n := binary.PutVarint(buf[:], v)
-		h.Write(buf[:n])
+		buf = binary.AppendVarint(buf, v)
+		if len(buf) >= flushAt {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 	}
 	writeInt(int64(f.NumVars))
 	writeInt(int64(len(f.Clauses)))
@@ -39,5 +45,6 @@ func (f *Formula) ContentHash() string {
 			writeInt(int64(v))
 		}
 	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }

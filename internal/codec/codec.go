@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 )
 
 // Trailer selects a format's integrity trailer.
@@ -304,6 +305,33 @@ func (d *Dec) U64s(what string) []uint64 {
 	return out
 }
 
+// ListsLen returns the total element count of the n consecutive records
+// that start at the decoder's position, each headBytes of other fields,
+// then a u32 count and that many elemBytes-byte elements. It consumes
+// nothing: it lets a caller decode all n lists into one allocation of
+// exactly that size. A count that runs past the input fails d.
+func (d *Dec) ListsLen(n, headBytes, elemBytes int, what string) int {
+	if d.err != nil {
+		return 0
+	}
+	off, total := d.off, 0
+	for i := 0; i < n; i++ {
+		if len(d.buf)-off < headBytes+4 {
+			d.Fail("truncated at offset %d (want %d more bytes)", off, headBytes+4)
+			return 0
+		}
+		k := int(binary.LittleEndian.Uint32(d.buf[off+headBytes:]))
+		off += headBytes + 4
+		if k > (len(d.buf)-off)/elemBytes {
+			d.Fail("%s count %d exceeds remaining input", what, k)
+			return 0
+		}
+		off += k * elemBytes
+		total += k
+	}
+	return total
+}
+
 // I32s reads a u32 count and that many 32-bit words.
 func I32s[T Int32](d *Dec, what string) []T {
 	return TakeI32s[T](d, d.Count(4, what))
@@ -315,7 +343,25 @@ func TakeI32s[T Int32](d *Dec, n int) []T {
 	if d.err != nil {
 		return nil
 	}
-	out := make([]T, n)
+	return words(make([]T, n), raw)
+}
+
+// AppendDecI32s is I32s appending to dst, so that many short lists can
+// share one allocation (see ListsLen). On failure it returns dst
+// unchanged.
+func AppendDecI32s[T Int32](d *Dec, dst []T, what string) []T {
+	raw := d.Take(4 * d.Count(4, what))
+	if d.err != nil {
+		return dst
+	}
+	n := len(dst)
+	dst = slices.Grow(dst, len(raw)/4)[:n+len(raw)/4]
+	words(dst[n:], raw)
+	return dst
+}
+
+// words fills out from the little-endian 32-bit words in raw.
+func words[T Int32](out []T, raw []byte) []T {
 	for i := range out {
 		out[i] = T(int32(binary.LittleEndian.Uint32(raw[4*i:])))
 	}

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -100,5 +101,50 @@ func TestDecoderIsStickyAndBounded(t *testing.T) {
 	d, _, _ = f.Open(e.Seal())
 	if err := d.Finish(); !errors.Is(err, errTest) || !strings.Contains(err.Error(), "trailing") {
 		t.Fatalf("unread byte: err = %v", err)
+	}
+}
+
+// TestListsIntoOneArray: ListsLen sums the counts of consecutive records
+// without consuming them, and AppendDecI32s then decodes every list into
+// that one array; a forged count fails both cleanly.
+func TestListsIntoOneArray(t *testing.T) {
+	f := testFormat(CRC32)
+	lists := [][]int32{{1, -2}, nil, {3, 4, 5}}
+	e := f.Encoder(1, 0)
+	for i, l := range lists {
+		e.U8(uint8(i)) // one byte of other fields per record
+		PutI32s(e, l)
+	}
+	d, _, err := f.Open(e.Seal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := d.ListsLen(len(lists), 1, 4, "lists")
+	if total != 5 || d.Err() != nil {
+		t.Fatalf("ListsLen = %d, err %v; want 5", total, d.Err())
+	}
+	all := make([]int32, 0, total)
+	for i, l := range lists {
+		if got := d.U8(); got != uint8(i) {
+			t.Fatalf("record %d head = %d (ListsLen consumed input?)", i, got)
+		}
+		start := len(all)
+		all = AppendDecI32s(d, all, "list")
+		if !slices.Equal(all[start:], l) {
+			t.Fatalf("list %d = %v, want %v", i, all[start:], l)
+		}
+	}
+	if err := d.Finish(); err != nil || cap(all) != total {
+		t.Fatalf("finish %v, cap %d of %d", err, cap(all), total)
+	}
+
+	e = f.Encoder(1, 0)
+	e.U32(1 << 30)
+	d, _, _ = f.Open(e.Seal())
+	if n := d.ListsLen(1, 0, 4, "forged"); n != 0 || !errors.Is(d.Err(), errTest) {
+		t.Fatalf("forged count: ListsLen = %d, err %v", n, d.Err())
+	}
+	if got := AppendDecI32s(d, []int32{7}, "forged"); !slices.Equal(got, []int32{7}) {
+		t.Fatalf("AppendDecI32s after failure = %v, want dst unchanged", got)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"maps"
 	"math"
 	"slices"
+	"strconv"
 	"time"
 
 	"repro/internal/bitblast"
@@ -166,15 +167,17 @@ func (p *Problem) MarshalBinary() ([]byte, error) {
 	codec.PutI32s(e, eng.liveInList)
 
 	// Verifier plan.
-	plan, unsat := p.verify.Plan()
+	lits, ends, unsat := p.verify.Plan()
 	e.U8(b2u(unsat))
-	e.U32(uint32(len(plan)))
-	for _, cl := range plan {
-		e.U32(uint32(len(cl)))
-		for _, l := range cl {
+	e.U32(uint32(len(ends)))
+	start := int32(0)
+	for _, end := range ends {
+		e.U32(uint32(end - start))
+		for _, l := range lits[start:end] {
 			e.U32(uint32(l.Node))
 			e.U8(b2u(l.Neg))
 		}
+		start = end
 	}
 	return e.Seal(), nil
 }
@@ -189,6 +192,20 @@ func (p *Problem) MarshalBinary() ([]byte, error) {
 // only ever reads blobs this process family wrote (see DESIGN.md, trust
 // model).
 func DecodeProblem(data []byte) (*Problem, error) {
+	return decodeProblem(data, nil, "")
+}
+
+// DecodeProblemOf is DecodeProblem for a caller that already holds the
+// formula the blob must embed, and that formula's content hash (a
+// compiler loading the artifact for a formula it has just hashed). The
+// embedded formula is compared with f instead of being rebuilt and
+// re-hashed, and the Problem shares f. A blob embedding any other
+// formula is rejected.
+func DecodeProblemOf(data []byte, f *cnf.Formula, hash string) (*Problem, error) {
+	return decodeProblem(data, f, hash)
+}
+
+func decodeProblem(data []byte, known *cnf.Formula, knownHash string) (*Problem, error) {
 	d, ver, err := problemFormat.Open(data)
 	if err != nil {
 		return nil, err
@@ -202,7 +219,12 @@ func DecodeProblem(data []byte) (*Problem, error) {
 		}
 	}
 
-	f := decodeFormula(d)
+	var f *cnf.Formula
+	if known == nil {
+		f = decodeFormula(d)
+	} else {
+		f = matchFormula(d, known)
+	}
 	circ := decodeCircuit(d, f)
 	ext := decodeExtraction(d, f, circ)
 	eng := decodeEngine(d, circ)
@@ -213,7 +235,11 @@ func DecodeProblem(data []byte) (*Problem, error) {
 	// The content-address cross-check: the blob serves exactly the formula
 	// (specialized under exactly the assumptions) its key names, or it
 	// serves nothing.
-	if err := cnf.CheckAssumeKey(f.NumVars, f.ContentHash(), assume, key); err != nil {
+	hash := knownHash
+	if known == nil {
+		hash = f.ContentHash()
+	}
+	if err := cnf.CheckAssumeKey(f.NumVars, hash, assume, key); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadProblem, err)
 	}
 
@@ -232,8 +258,12 @@ func decodeFormula(d *codec.Dec) *cnf.Formula {
 	ncl := d.Count(4, "clauses")
 	f := &cnf.Formula{NumVars: nv}
 	f.Clauses = make([]cnf.Clause, 0, ncl)
+	// Every clause is a sub-slice of one exactly sized literal array.
+	lits := make([]cnf.Lit, 0, d.ListsLen(ncl, 0, 4, "clause literals"))
 	for i := 0; i < ncl && d.Err() == nil; i++ {
-		cl := codec.I32s[cnf.Lit](d, "clause literals")
+		start := len(lits)
+		lits = codec.AppendDecI32s(d, lits, "clause literals")
+		cl := lits[start:len(lits):len(lits)]
 		for j, l := range cl {
 			if l == 0 || l.Var() > nv {
 				d.Fail("clause %d literal %d is %d over %d variables", i, j, l, nv)
@@ -253,15 +283,52 @@ func decodeFormula(d *codec.Dec) *cnf.Formula {
 	return f
 }
 
+// matchFormula reads the formula section and checks that it encodes f,
+// allocating nothing. It returns f.
+func matchFormula(d *codec.Dec, f *cnf.Formula) *cnf.Formula {
+	if int(d.U32()) != f.NumVars || d.Count(4, "clauses") != len(f.Clauses) {
+		d.Fail("embedded formula differs from the expected one")
+		return f
+	}
+	for _, cl := range f.Clauses {
+		if !sameWords(d.Take(4*d.Count(4, "clause literals")), cl) {
+			d.Fail("embedded formula differs from the expected one")
+			return f
+		}
+	}
+	if !sameWords(d.Take(4*d.Count(4, "projection")), f.Projection) {
+		d.Fail("embedded projection differs from the expected one")
+	}
+	return f
+}
+
+// sameWords reports whether raw holds exactly vs as 32-bit words.
+func sameWords[T codec.Int32](raw []byte, vs []T) bool {
+	if len(raw) != 4*len(vs) {
+		return false
+	}
+	for i, v := range vs {
+		if int32(binary.LittleEndian.Uint32(raw[4*i:])) != int32(v) {
+			return false
+		}
+	}
+	return true
+}
+
 func decodeCircuit(d *codec.Dec, f *cnf.Formula) *circuit.Circuit {
 	nn := d.Count(10, "circuit nodes")
 	c := &circuit.Circuit{Nodes: make([]circuit.Node, 0, nn)}
+	// Every fanin list is a sub-slice of one exactly sized array; a node
+	// record is type, value and variable (6 bytes), then its fanins.
+	fanins := make([]circuit.NodeID, 0, d.ListsLen(nn, 6, 4, "node fanins"))
 	inputSeen := 0
 	for id := 0; id < nn; id++ {
 		t := circuit.GateType(d.U8())
 		val := d.U8() != 0
 		v := int(int32(d.U32()))
-		fanin := codec.I32s[circuit.NodeID](d, "node fanins")
+		start := len(fanins)
+		fanins = codec.AppendDecI32s(d, fanins, "node fanins")
+		fanin := fanins[start:len(fanins):len(fanins)]
 		nf := len(fanin)
 		if d.Err() != nil {
 			return c
@@ -304,7 +371,7 @@ func decodeCircuit(d *codec.Dec, f *cnf.Formula) *circuit.Circuit {
 		if t == circuit.Input {
 			inputSeen++
 			if v > 0 {
-				nd.Name = fmt.Sprintf("x%d", v)
+				nd.Name = "x" + strconv.Itoa(v)
 			}
 		}
 		c.Nodes = append(c.Nodes, nd)
@@ -518,25 +585,25 @@ func decodeEngine(d *codec.Dec, c *circuit.Circuit) *engine {
 func decodeVerifyPlan(d *codec.Dec, c *circuit.Circuit) *bitblast.Program {
 	unsat := d.U8() != 0
 	ncl := d.Count(4, "verifier clauses")
+	lits := make([]bitblast.PlanLit, d.ListsLen(ncl, 0, 5, "verifier literals"))
 	if d.Err() != nil {
 		return nil
 	}
-	plan := make([][]bitblast.PlanLit, ncl)
-	for i := range plan {
+	ends := make([]int32, ncl)
+	off := 0
+	for i := range ends {
 		nl := d.Count(5, "verifier literals")
+		raw := d.Take(5 * nl)
 		if d.Err() != nil {
 			return nil
 		}
-		cl := make([]bitblast.PlanLit, nl)
-		for j := range cl {
-			cl[j] = bitblast.PlanLit{Node: int32(d.U32()), Neg: d.U8() != 0}
+		for j := range nl {
+			lits[off+j] = bitblast.PlanLit{Node: int32(binary.LittleEndian.Uint32(raw[5*j:])), Neg: raw[5*j+4] != 0}
 		}
-		if d.Err() != nil {
-			return nil
-		}
-		plan[i] = cl
+		off += nl
+		ends[i] = int32(off)
 	}
-	prog, err := bitblast.FromPlan(c, plan, unsat)
+	prog, err := bitblast.FromPlan(c, lits, ends, unsat)
 	if err != nil {
 		d.Fail("%v", err)
 		return nil

@@ -210,6 +210,54 @@ func TestDecodeProblemRejectsKeyMismatch(t *testing.T) {
 	}
 }
 
+// TestDecodeProblemOf: with the formula in hand, decode compares the
+// embedded formula instead of rebuilding it. The result must equal a full
+// decode (canonical re-encoding, same key) and share the caller's
+// formula; a blob embedding any other formula or projection, even with a
+// freshly valid trailer, must be refused.
+func TestDecodeProblemOf(t *testing.T) {
+	for name, p := range codecProblems(t) {
+		blob, err := p.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := p.Formula()
+		got, err := DecodeProblemOf(blob, f, p.Key())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		again, err := got.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(blob, again) || got.Key() != p.Key() || got.Formula() != f {
+			t.Fatalf("%s: DecodeProblemOf differs from the encoded problem", name)
+		}
+	}
+
+	p := mustCompile(t, mustFormula(t, projFormula))
+	blob, err := p.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, other := range map[string]string{
+		"literal":    "c ind 1 4 7 10 0\np cnf 12 4\n1 2 -3 0\n4 5 6 0\n7 8 9 0\n10 11 12 0\n",
+		"clauses":    "c ind 1 4 7 10 0\np cnf 12 3\n1 2 3 0\n4 5 6 0\n7 8 9 0\n",
+		"projection": "c ind 1 4 7 11 0\np cnf 12 4\n1 2 3 0\n4 5 6 0\n7 8 9 0\n10 11 12 0\n",
+	} {
+		f := mustFormula(t, other)
+		if _, err := DecodeProblemOf(blob, f, p.Key()); !errors.Is(err, ErrBadProblem) {
+			t.Fatalf("%s: blob decoded against another formula (err %v)", name, err)
+		}
+	}
+	// The trailer is still checked: the store hands over unchecked bytes.
+	mut := append([]byte(nil), blob...)
+	mut[len(mut)-40] ^= 0x01
+	if _, err := DecodeProblemOf(mut, p.Formula(), p.Key()); !errors.Is(err, ErrBadProblem) {
+		t.Fatalf("corrupted blob decoded (err %v)", err)
+	}
+}
+
 // FuzzDecodeProblem: arbitrary input must either decode into a problem
 // that re-encodes canonically and still matches its content address, or
 // fail wrapping ErrBadProblem — and must never panic. Seeded from

@@ -41,7 +41,12 @@ func (p *Problem) Assumptions() []cnf.Lit {
 // BaseKey returns the content hash of the underlying formula — the
 // identity of the unspecialized artifact. For an unspecialized problem it
 // equals Key.
-func (p *Problem) BaseKey() string { return p.formula.ContentHash() }
+func (p *Problem) BaseKey() string {
+	if len(p.assume) == 0 {
+		return p.key
+	}
+	return p.formula.ContentHash()
+}
 
 // Specialize conditions p on assumption literals, returning a new Problem
 // keyed by cnf.AssumeKey(base, assume). The input problem is not modified
@@ -143,7 +148,7 @@ func Specialize(p *Problem, assume []cnf.Lit) (*Problem, error) {
 		Fallbacks:      ext.Fallbacks,
 		SignatureHits:  ext.SignatureHits,
 	}
-	verify, err := specializedVerifier(p.formula, next, merged)
+	verify, err := specializedVerifier(p.formula, spec, p.varNode, merged)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +157,7 @@ func Specialize(p *Problem, assume []cnf.Lit) (*Problem, error) {
 		ext:     next,
 		eng:     compileEngine(spec),
 		verify:  verify,
-		key:     cnf.AssumeKey(p.formula.ContentHash(), merged),
+		key:     cnf.AssumeKey(p.BaseKey(), merged),
 		assume:  merged,
 	}
 	q.derive()
@@ -164,29 +169,37 @@ func Specialize(p *Problem, assume []cnf.Lit) (*Problem, error) {
 // sweep, falsified literals drop out of their clauses, and one unit clause
 // per pin on a live (non-constant) node keeps the pin enforced against
 // every candidate row. It mirrors bitblast.New's constant and nodeless
-// resolution, with the pin map taking precedence over both.
-func specializedVerifier(f *cnf.Formula, ext *extract.Result, assume []cnf.Lit) (*bitblast.Program, error) {
-	pin := make(map[int]bool, len(assume))
+// resolution, with the pins taking precedence over both. varNode is the
+// base problem's var→node table (negative: no node).
+func specializedVerifier(f *cnf.Formula, c *circuit.Circuit, varNode []int32, assume []cnf.Lit) (*bitblast.Program, error) {
+	const unpinned, pinFalse, pinTrue = 0, 1, 2
+	pin := make([]uint8, f.NumVars+1)
 	for _, l := range assume {
-		pin[l.Var()] = l.Positive()
+		pin[l.Var()] = pinFalse
+		if l.Positive() {
+			pin[l.Var()] = pinTrue
+		}
 	}
-	nodes := ext.Circuit.Nodes
-	var clauses [][]bitblast.PlanLit
+	nodes := c.Nodes
+	// The plan in bitblast's flat layout: clause i is
+	// lits[ends[i-1]:ends[i]].
+	var lits []bitblast.PlanLit
+	ends := make([]int32, 0, len(f.Clauses)+len(assume))
 	unsat := false
-	for _, c := range f.Clauses {
+	for _, cl := range f.Clauses {
 		sat := false
-		var out []bitblast.PlanLit
-		for _, l := range c {
+		start := len(lits)
+		for _, l := range cl {
 			v := l.Var()
-			if val, ok := pin[v]; ok {
-				if l.Sat(val) {
+			if pv := pin[v]; pv != unpinned {
+				if l.Sat(pv == pinTrue) {
 					sat = true
 					break
 				}
 				continue
 			}
-			id, ok := ext.NodeOf[v]
-			if !ok {
+			id := varNode[v-1]
+			if id < 0 {
 				// Nodeless and unpinned: defaults to false (the
 				// bitblast.New convention shared with delivery).
 				if !l.Positive() {
@@ -202,21 +215,22 @@ func specializedVerifier(f *cnf.Formula, ext *extract.Result, assume []cnf.Lit) 
 				}
 				continue
 			}
-			out = append(out, bitblast.PlanLit{Node: int32(id), Neg: !l.Positive()})
+			lits = append(lits, bitblast.PlanLit{Node: id, Neg: !l.Positive()})
 		}
 		if sat {
+			lits = lits[:start]
 			continue
 		}
-		if len(out) == 0 {
+		if len(lits) == start {
 			unsat = true
 			break
 		}
-		clauses = append(clauses, out)
+		ends = append(ends, int32(len(lits)))
 	}
 	if !unsat {
 		for _, l := range assume {
-			id, ok := ext.NodeOf[l.Var()]
-			if !ok {
+			id := varNode[l.Var()-1]
+			if id < 0 {
 				continue
 			}
 			if nodes[id].Type == circuit.Const {
@@ -226,11 +240,12 @@ func specializedVerifier(f *cnf.Formula, ext *extract.Result, assume []cnf.Lit) 
 				}
 				continue
 			}
-			clauses = append(clauses, []bitblast.PlanLit{{Node: int32(id), Neg: !l.Positive()}})
+			lits = append(lits, bitblast.PlanLit{Node: id, Neg: !l.Positive()})
+			ends = append(ends, int32(len(lits)))
 		}
 	}
 	if unsat {
-		clauses = nil
+		lits, ends = nil, nil
 	}
-	return bitblast.FromPlan(ext.Circuit, clauses, unsat)
+	return bitblast.FromPlan(c, lits, ends, unsat)
 }

@@ -33,28 +33,6 @@ import (
 	"repro/internal/logic"
 )
 
-// Kind classifies a CNF variable in the extracted function.
-type Kind uint8
-
-// Variable classifications.
-const (
-	PrimaryInput Kind = iota
-	Intermediate
-	PrimaryOutput
-)
-
-func (k Kind) String() string {
-	switch k {
-	case PrimaryInput:
-		return "PI"
-	case Intermediate:
-		return "IV"
-	case PrimaryOutput:
-		return "PO"
-	}
-	return "?"
-}
-
 // Binding records one recovered definition "Var = Expr".
 type Binding struct {
 	Var  int // CNF variable; 0 for auxiliary (fallback) outputs
@@ -152,20 +130,28 @@ func (r *Result) Verifier(f *cnf.Formula) *bitblast.Program {
 // Transform runs Algorithm 1 on f.
 func Transform(f *cnf.Formula) (*Result, error) {
 	start := time.Now()
+	// Lookahead: last clause index in which each variable occurs.
+	maxVar := f.NumVars
+	for _, c := range f.Clauses {
+		for _, l := range c {
+			maxVar = max(maxVar, l.Var())
+		}
+	}
+	lastUse := make([]int, maxVar+1)
+	for i, c := range f.Clauses {
+		for _, l := range c {
+			lastUse[l.Var()] = i
+		}
+	}
 	t := &transformer{
 		res: &Result{
 			Circuit: circuit.NewCircuit(),
 			NodeOf:  map[int]circuit.NodeID{},
 		},
-		kind:    map[int]Kind{},
-		classed: map[int]bool{},
-	}
-	// Lookahead: last clause index in which each variable occurs.
-	lastUse := map[int]int{}
-	for i, c := range f.Clauses {
-		for _, l := range c {
-			lastUse[l.Var()] = i
-		}
+		classed: make([]bool, maxVar+1),
+		clean:   make([]bool, maxVar+1),
+		visited: make([]int, maxVar+1),
+		pt:      newPackedTester(maxVar),
 	}
 
 	var window []cnf.Clause
@@ -176,6 +162,7 @@ func Transform(f *cnf.Formula) (*Result, error) {
 		}
 		window = append(window, c)
 		winIdx = append(winIdx, i)
+		t.touch(c)
 		// Try resolutions until the window is stable.
 		for {
 			v, expr, ok := t.tryResolve(window)
@@ -217,8 +204,23 @@ func Transform(f *cnf.Formula) (*Result, error) {
 
 type transformer struct {
 	res     *Result
-	kind    map[int]Kind
-	classed map[int]bool // variable has been classified
+	classed []bool // variable has been classified
+	// clean[v] records that v failed its last resolution test and no
+	// clause containing v has entered or left the window since. Both
+	// tests read only the window clauses containing v, so a clean v would
+	// fail again and tryResolve skips it.
+	clean   []bool
+	visited []int // tryResolve pass that last visited each variable
+	pass    int
+	withV   []cnf.Clause // scratch: the window clauses containing v
+	pt      *packedTester
+}
+
+// touch marks every variable of c dirty: c entered or left the window.
+func (t *transformer) touch(c cnf.Clause) {
+	for _, l := range c {
+		t.clean[l.Var()] = false
+	}
 }
 
 // nodeFor returns the circuit node for CNF variable v, creating a primary
@@ -230,50 +232,65 @@ func (t *transformer) nodeFor(v int) circuit.NodeID {
 	id := t.res.Circuit.AddInput(fmt.Sprintf("x%d", v))
 	t.res.Circuit.Nodes[id].Var = v
 	t.res.NodeOf[v] = id
-	t.kind[v] = PrimaryInput
 	t.classed[v] = true
 	t.res.PrimaryInputs = append(t.res.PrimaryInputs, v)
 	return id
 }
 
 // tryResolve scans the window's variables in order of first appearance and
-// returns the first (v, f) with f == ¬g per the paper's test.
+// returns the first (v, f) with f == ¬g per the paper's test. Variables
+// still clean from an earlier failed test are skipped: their test would
+// read the same clauses.
 func (t *transformer) tryResolve(window []cnf.Clause) (int, *logic.Expr, bool) {
-	seen := map[int]bool{}
+	t.pass++
 	for _, c := range window {
 		for _, l := range c {
 			v := l.Var()
-			if seen[v] || t.classed[v] {
+			if t.visited[v] == t.pass || t.classed[v] || t.clean[v] {
 				continue
 			}
-			seen[v] = true
-			// Fast path: Eq. 1–4 signature pattern matching.
-			if expr, ok := recognizeSignature(window, v); ok {
+			t.visited[v] = t.pass
+			withV := t.withV[:0]
+			for _, wc := range window {
+				if hasVar(wc, v) {
+					withV = append(withV, wc)
+				}
+			}
+			t.withV = withV
+			// Fast path: Eq. 1–4 signature pattern matching. The matched
+			// forms are already minimal, so they skip Simplify.
+			if expr, ok := recognizeSignature(withV, v); ok {
 				t.res.SignatureHits++
 				return v, expr, true
 			}
-			fExpr, gExpr, hasBoth := deriveExpressions(window, v)
-			if !hasBoth {
-				continue
+			if t.resolves(withV, v) {
+				fExpr, _ := deriveExpressions(withV, v)
+				return v, logic.Simplify(fExpr), true
 			}
-			if complementary(fExpr, gExpr) {
-				return v, fExpr, true
-			}
+			t.clean[v] = true
 		}
 	}
 	return 0, nil, false
 }
 
+// resolves decides the paper's test f == ¬g for v from withV, the window
+// clauses containing v: on packed truth tables over their union support,
+// or on BDDs when that support exceeds the table bound.
+func (t *transformer) resolves(withV []cnf.Clause, v int) bool {
+	if ok, tabulated := t.pt.complementary(withV, v); tabulated {
+		return ok
+	}
+	fExpr, gExpr := deriveExpressions(withV, v)
+	m := bdd.New()
+	return m.Complementary(m.FromExpr(fExpr), m.FromExpr(gExpr))
+}
+
 // deriveExpressions builds the candidate expression for v (from clauses
 // containing ¬v, each contributing the OR of its remaining literals) and
-// for ¬v (from clauses containing v). hasBoth is false when v occurs in
-// only one polarity in a window that still has other variables — such a v
-// can never pass the complement test unless one side is empty by design
-// (the unit-output case is covered because an empty side derives a
-// constant).
-func deriveExpressions(window []cnf.Clause, v int) (fExpr, gExpr *logic.Expr, hasBoth bool) {
+// for ¬v (from clauses containing v). A side with no clauses derives the
+// constant true, which covers the unit-output case.
+func deriveExpressions(window []cnf.Clause, v int) (fExpr, gExpr *logic.Expr) {
 	var fTerms, gTerms []*logic.Expr
-	pos, neg := 0, 0
 	for _, c := range window {
 		hasPos, hasNeg := false, false
 		for _, l := range c {
@@ -285,40 +302,24 @@ func deriveExpressions(window []cnf.Clause, v int) (fExpr, gExpr *logic.Expr, ha
 				}
 			}
 		}
-		rest := func() *logic.Expr {
-			var lits []*logic.Expr
-			for _, l := range c {
-				if l.Var() == v {
-					continue
-				}
+		if !hasPos && !hasNeg {
+			continue
+		}
+		var lits []*logic.Expr
+		for _, l := range c {
+			if l.Var() != v {
 				lits = append(lits, logic.Lit(l.Var(), l.Positive()))
 			}
-			return logic.Or(lits...)
 		}
+		rest := logic.Or(lits...)
 		if hasNeg {
-			neg++
-			fTerms = append(fTerms, rest())
+			fTerms = append(fTerms, rest)
 		}
 		if hasPos {
-			pos++
-			gTerms = append(gTerms, rest())
+			gTerms = append(gTerms, rest)
 		}
 	}
-	if pos == 0 && neg == 0 {
-		return nil, nil, false
-	}
-	return logic.And(fTerms...), logic.And(gTerms...), true
-}
-
-// complementary decides f == ¬g, via truth tables for small supports and
-// BDDs otherwise.
-func complementary(f, g *logic.Expr) bool {
-	supF, supG := f.Support(), g.Support()
-	if len(supF) <= 14 && len(supG) <= 14 {
-		return logic.Complementary(f, g)
-	}
-	m := bdd.New()
-	return m.Complementary(m.FromExpr(f), m.FromExpr(g))
+	return logic.And(fTerms...), logic.And(gTerms...)
 }
 
 // commit applies a successful resolution: record the binding, classify v,
@@ -327,7 +328,6 @@ func complementary(f, g *logic.Expr) bool {
 // original index; consumed clauses become the provenance of a constant
 // (primary-output) resolution's circuit output.
 func (t *transformer) commit(window []cnf.Clause, winIdx []int, v int, expr *logic.Expr) ([]cnf.Clause, []int) {
-	expr = logic.Simplify(expr)
 	t.res.Bindings = append(t.res.Bindings, Binding{Var: v, Expr: expr})
 
 	// Partition first: clauses containing v are exactly the ones this
@@ -346,6 +346,7 @@ func (t *transformer) commit(window []cnf.Clause, winIdx []int, v int, expr *log
 		}
 		if drop {
 			consumed = append(consumed, winIdx[k])
+			t.touch(c)
 		} else {
 			out = append(out, c)
 			outIdx = append(outIdx, winIdx[k])
@@ -359,7 +360,6 @@ func (t *transformer) commit(window []cnf.Clause, winIdx []int, v int, expr *log
 		id := t.nodeForOutput(v)
 		t.res.Circuit.MarkOutput(id, val)
 		t.res.OutputSources = append(t.res.OutputSources, consumed)
-		t.kind[v] = PrimaryOutput
 		t.classed[v] = true
 		t.res.PrimaryOutputs = append(t.res.PrimaryOutputs, v)
 	} else {
@@ -370,7 +370,6 @@ func (t *transformer) commit(window []cnf.Clause, winIdx []int, v int, expr *log
 		id := t.res.Circuit.InstantiateExpr(expr, env)
 		t.res.Circuit.Nodes[id].Var = v
 		t.res.NodeOf[v] = id
-		t.kind[v] = Intermediate
 		t.classed[v] = true
 		t.res.Intermediates = append(t.res.Intermediates, v)
 	}

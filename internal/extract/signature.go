@@ -1,6 +1,8 @@
 package extract
 
 import (
+	"slices"
+
 	"repro/internal/cnf"
 	"repro/internal/logic"
 )
@@ -16,19 +18,10 @@ import (
 // accelerator — both paths are covered by the same equisatisfiability
 // tests.
 
-// recognizeSignature tries to match the clauses of the window containing
-// ±v against a primary-operator signature with output v. It returns the
+// recognizeSignature tries to match withV, the window clauses containing
+// ±v, against a primary-operator signature with output v. It returns the
 // recovered expression on success.
-func recognizeSignature(window []cnf.Clause, v int) (*logic.Expr, bool) {
-	var withV []cnf.Clause
-	for _, c := range window {
-		for _, l := range c {
-			if l.Var() == v {
-				withV = append(withV, c)
-				break
-			}
-		}
-	}
+func recognizeSignature(withV []cnf.Clause, v int) (*logic.Expr, bool) {
 	if len(withV) < 2 {
 		return nil, false
 	}
@@ -88,42 +81,51 @@ func matchBufInv(cs []cnf.Clause, v int) (*logic.Expr, bool) {
 //
 // where li are arbitrary literals (inputs may be negated).
 func matchAndOr(cs []cnf.Clause, v int) (*logic.Expr, bool) {
-	// Find the single wide clause and the binary side clauses.
+	// Find the single wide clause and count the binary side clauses.
 	var wide cnf.Clause
-	var bins []cnf.Clause
+	bins := 0
 	for _, c := range cs {
 		switch {
 		case len(c) == 2:
-			bins = append(bins, c)
-		case len(c) >= 2 && wide == nil:
+			bins++
+		case len(c) > 2 && wide == nil:
 			wide = c
 		default:
 			return nil, false
 		}
 	}
-	if wide == nil || len(bins) != len(wide)-1 {
+	if wide == nil || bins != len(wide)-1 {
 		// A 2-input gate has a ternary wide clause and 2 binaries; an
 		// n-input one has n binaries. A wide==binary (n=1) case is the
 		// buffer pattern handled elsewhere.
 		return nil, false
 	}
+	// The wide clause holds one v literal and n distinct operand
+	// literals, kept in wide-clause order.
 	var vLit cnf.Lit
-	var ops []cnf.Lit // the gate's operand literals, in wide-clause order
-	rest := map[cnf.Lit]bool{}
+	ops := make([]cnf.Lit, 0, len(wide)-1)
 	for _, l := range wide {
-		if l.Var() == v {
-			vLit = l
-		} else if !rest[l] {
-			rest[l] = true
+		switch {
+		case l.Var() != v:
+			if slices.Contains(ops, l) {
+				return nil, false
+			}
 			ops = append(ops, l)
+		case vLit != 0:
+			return nil, false
+		default:
+			vLit = l
 		}
 	}
-	if vLit == 0 || len(rest) != len(wide)-1 {
+	if vLit == 0 {
 		return nil, false
 	}
-	// Each binary clause must be (¬vLit ∨ ¬li) for some li in rest.
-	matched := map[cnf.Lit]bool{}
-	for _, c := range bins {
+	// Each binary clause must be (¬vLit ∨ ¬li) for a distinct li in ops.
+	matched := make([]bool, len(ops))
+	for _, c := range cs {
+		if len(c) != 2 {
+			continue
+		}
 		var bv, bw cnf.Lit
 		if c[0].Var() == v {
 			bv, bw = c[0], c[1]
@@ -132,28 +134,22 @@ func matchAndOr(cs []cnf.Clause, v int) (*logic.Expr, bool) {
 		} else {
 			return nil, false
 		}
-		if bv != -vLit {
+		i := slices.Index(ops, -bw)
+		if bv != -vLit || i < 0 || matched[i] {
 			return nil, false
 		}
-		if !rest[-bw] || matched[-bw] {
-			return nil, false
-		}
-		matched[-bw] = true
+		matched[i] = true
 	}
-	// vLit negative → OR of rest literals; positive → AND of their
+	// vLit negative → OR of the operands; positive → AND of their
 	// negations.
 	lits := make([]*logic.Expr, len(ops))
 	for i, l := range ops {
-		lits[i] = logic.Lit(l.Var(), l.Positive())
+		lits[i] = logic.Lit(l.Var(), l.Positive() != vLit.Positive())
 	}
 	if !vLit.Positive() {
 		return logic.Or(lits...), true
 	}
-	neg := make([]*logic.Expr, len(lits))
-	for i, e := range lits {
-		neg[i] = logic.Not(e)
-	}
-	return logic.And(neg...), true
+	return logic.And(lits...), true
 }
 
 // matchXor2 recognizes the 2-input XOR/XNOR group (Eq. 4 with n=2): four
@@ -163,35 +159,43 @@ func matchXor2(cs []cnf.Clause, v int) (*logic.Expr, bool) {
 	if len(cs) != 4 {
 		return nil, false
 	}
-	vars := map[int]bool{}
+	// others collects the two non-v variables; a third one fails.
+	var others []int
 	for _, c := range cs {
 		if len(c) != 3 {
 			return nil, false
 		}
 		for _, l := range c {
-			vars[l.Var()] = true
+			if w := l.Var(); w != v && !slices.Contains(others, w) {
+				if len(others) == 2 {
+					return nil, false
+				}
+				others = append(others, w)
+			}
 		}
 	}
-	if len(vars) != 3 || !vars[v] {
+	if len(others) != 2 || !slices.ContainsFunc(cs, func(c cnf.Clause) bool { return hasVar(c, v) }) {
 		return nil, false
-	}
-	var others []int
-	for w := range vars {
-		if w != v {
-			others = append(others, w)
-		}
 	}
 	a, b := min(others[0], others[1]), max(others[0], others[1])
 	// Truth check: conjunction of the 4 clauses equals (v == a⊕b) or its
 	// complement.
 	matchesXor, matchesXnor := true, true
 	for mask := 0; mask < 8; mask++ {
-		val := map[int]bool{v: mask&1 != 0, a: mask&2 != 0, b: mask&4 != 0}
+		val := func(w int) bool {
+			switch w {
+			case v:
+				return mask&1 != 0
+			case a:
+				return mask&2 != 0
+			}
+			return mask&4 != 0
+		}
 		sat := true
 		for _, c := range cs {
 			cSat := false
 			for _, l := range c {
-				if l.Sat(val[l.Var()]) {
+				if l.Sat(val(l.Var())) {
 					cSat = true
 					break
 				}
@@ -201,7 +205,7 @@ func matchXor2(cs []cnf.Clause, v int) (*logic.Expr, bool) {
 				break
 			}
 		}
-		xorHolds := val[v] == (val[a] != val[b])
+		xorHolds := val(v) == (val(a) != val(b))
 		if sat != xorHolds {
 			matchesXor = false
 		}

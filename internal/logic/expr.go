@@ -9,6 +9,7 @@ package logic
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -171,7 +172,17 @@ func Ite(c, t, f *Expr) *Expr { return Or(And(c, t), And(Not(c), f)) }
 func nary(op Op, es []*Expr) *Expr {
 	unit := op == OpAnd // identity element value: true for AND, false for OR
 	var args []*Expr
-	seen := map[string]bool{}
+	// Operands are indexed by hashKey, so duplicates and complements are
+	// found without building Key strings.
+	seen := map[uint64][]int{}
+	has := func(h uint64, match func(*Expr) bool) bool {
+		for _, j := range seen[h] {
+			if match(args[j]) {
+				return true
+			}
+		}
+		return false
+	}
 	short := false
 	var flatten func(list []*Expr)
 	flatten = func(list []*Expr) {
@@ -187,15 +198,15 @@ func nary(op Op, es []*Expr) *Expr {
 			case e.Op == op:
 				flatten(e.Args)
 			default:
-				k := Key(e)
-				if seen[k] {
+				h := hashKey(e)
+				if has(h, func(x *Expr) bool { return sameKey(x, e) }) {
 					continue
 				}
-				if seen[Key(Not(e))] {
+				if has(hashNotKey(e), func(x *Expr) bool { return sameKeyNot(x, e) }) {
 					short = true // a ∧ ¬a / a ∨ ¬a
 					return
 				}
-				seen[k] = true
+				seen[h] = append(seen[h], len(args))
 				args = append(args, e)
 			}
 		}
@@ -211,6 +222,89 @@ func nary(op Op, es []*Expr) *Expr {
 		return args[0]
 	}
 	return &Expr{Op: op, Args: args}
+}
+
+// hashKey hashes e consistently with Key: expressions with equal Keys
+// hash equally (n-ary operands combine commutatively, as Key sorts them).
+func hashKey(e *Expr) uint64 {
+	switch e.Op {
+	case OpConst:
+		if e.Val {
+			return mix64(1)
+		}
+		return mix64(2)
+	case OpVar:
+		return mix64(uint64(e.Var)<<8 | 3)
+	case OpNot:
+		return notHash(hashKey(e.Args[0]))
+	}
+	h := uint64(e.Op) << 56
+	for _, a := range e.Args {
+		h += mix64(hashKey(a))
+	}
+	return mix64(h)
+}
+
+// hashNotKey is hashKey(Not(e)) without building Not(e); e is not a
+// constant.
+func hashNotKey(e *Expr) uint64 {
+	if e.Op == OpNot {
+		return hashKey(e.Args[0])
+	}
+	return notHash(hashKey(e))
+}
+
+func notHash(h uint64) uint64 { return mix64(h ^ 0x9e3779b97f4a7c15) }
+
+// mix64 is the SplitMix64 finalizer.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// sameKey reports Key(a) == Key(b): equal structure with n-ary operands
+// compared as multisets.
+func sameKey(a, b *Expr) bool {
+	if a == b {
+		return true
+	}
+	if a.Op != b.Op || len(a.Args) != len(b.Args) {
+		return false
+	}
+	switch a.Op {
+	case OpConst:
+		return a.Val == b.Val
+	case OpVar:
+		return a.Var == b.Var
+	case OpNot:
+		return sameKey(a.Args[0], b.Args[0])
+	}
+	used := make([]bool, len(b.Args))
+	for _, x := range a.Args {
+		found := false
+		for j, y := range b.Args {
+			if !used[j] && sameKey(x, y) {
+				used[j], found = true, true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
+}
+
+// sameKeyNot reports Key(x) == Key(Not(e)) without building Not(e); e is
+// not a constant.
+func sameKeyNot(x, e *Expr) bool {
+	if e.Op == OpNot {
+		return sameKey(x, e.Args[0])
+	}
+	return x.Op == OpNot && sameKey(x.Args[0], e)
 }
 
 // Eval evaluates e under the assignment function value, which must return
@@ -256,18 +350,14 @@ func (e *Expr) EvalMap(m map[int]bool) bool {
 
 // Support returns the sorted set of variable ids occurring in e.
 func (e *Expr) Support() []int {
-	set := map[int]struct{}{}
+	var ids []int
 	e.walk(func(x *Expr) {
 		if x.Op == OpVar {
-			set[x.Var] = struct{}{}
+			ids = append(ids, x.Var)
 		}
 	})
-	ids := make([]int, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 func (e *Expr) walk(fn func(*Expr)) {

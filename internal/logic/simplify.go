@@ -1,6 +1,11 @@
 package logic
 
-import "sort"
+import (
+	"maps"
+	"math/bits"
+	"slices"
+	"sort"
+)
 
 // Restrict returns e with variable id fixed to value, with constant folding
 // applied bottom-up (a Shannon cofactor).
@@ -183,29 +188,27 @@ func rebuild(e *Expr) *Expr {
 	panic("logic: invalid op in rebuild")
 }
 
-// cube is a product term over the support: for each position, 0 = negated,
-// 1 = positive, 2 = don't-care.
-type cube []uint8
+// cube is a product term over the support: position i is a don't-care
+// when bit i of care is clear, and otherwise takes bit i of val (1 =
+// positive literal, 0 = negated). val is zero outside care.
+type cube struct{ care, val uint32 }
 
-func (c cube) covers(row int) bool {
-	for i, v := range c {
-		bit := row&(1<<i) != 0
-		if v == 2 {
-			continue
-		}
-		if (v == 1) != bit {
-			return false
-		}
-	}
-	return true
-}
+func (c cube) covers(row int) bool { return uint32(row)&c.care == c.val }
 
-func (c cube) key() string {
-	b := make([]byte, len(c))
-	for i, v := range c {
-		b[i] = '0' + v
+// code is the cube's base-3 number over n positions, position 0 most
+// significant, digit 0 = negated, 1 = positive, 2 = don't-care. Its
+// numeric order is the lexicographic order of the digit strings, which
+// fixes the order primes are generated and covered in.
+func (c cube) code(n int) int {
+	k := 0
+	for i := 0; i < n; i++ {
+		d := 2
+		if c.care&(1<<i) != 0 {
+			d = int(c.val >> i & 1)
+		}
+		k = 3*k + d
 	}
-	return string(b)
+	return k
 }
 
 // minimizeSOP produces a minimal-ish sum-of-products for the function given
@@ -227,30 +230,24 @@ func minimizeSOP(table []bool, support []int) *Expr {
 	}
 
 	// Seed cubes are the minterms themselves.
-	current := map[string]cube{}
+	all := uint32(1)<<n - 1
+	current := map[int]cube{}
 	for _, m := range minterms {
-		c := make(cube, n)
-		for i := 0; i < n; i++ {
-			if m&(1<<i) != 0 {
-				c[i] = 1
-			}
-		}
-		current[c.key()] = c
+		c := cube{care: all, val: uint32(m)}
+		current[c.code(n)] = c
 	}
 
 	var primes []cube
 	for len(current) > 0 {
-		merged := map[string]bool{}
-		next := map[string]cube{}
-		keys := sortedKeys(current)
+		merged := map[int]bool{}
+		next := map[int]cube{}
+		keys := slices.Sorted(maps.Keys(current))
 		for i := 0; i < len(keys); i++ {
 			for j := i + 1; j < len(keys); j++ {
 				a, b := current[keys[i]], current[keys[j]]
 				if d := mergeDistance(a, b); d >= 0 {
-					c := make(cube, n)
-					copy(c, a)
-					c[d] = 2
-					next[c.key()] = c
+					c := cube{care: a.care &^ (1 << d), val: a.val &^ (1 << d)}
+					next[c.code(n)] = c
 					merged[keys[i]] = true
 					merged[keys[j]] = true
 				}
@@ -270,12 +267,9 @@ func minimizeSOP(table []bool, support []int) *Expr {
 	terms := make([]*Expr, 0, len(chosen))
 	for _, c := range chosen {
 		var lits []*Expr
-		for i, v := range c {
-			switch v {
-			case 0:
-				lits = append(lits, Not(V(support[i])))
-			case 1:
-				lits = append(lits, V(support[i]))
+		for i := 0; i < n; i++ {
+			if c.care&(1<<i) != 0 {
+				lits = append(lits, Lit(support[i], c.val&(1<<i) != 0))
 			}
 		}
 		terms = append(terms, And(lits...))
@@ -286,33 +280,24 @@ func minimizeSOP(table []bool, support []int) *Expr {
 // mergeDistance returns the single position where a and b differ in a
 // mergeable way (both specified, opposite), or -1.
 func mergeDistance(a, b cube) int {
-	d := -1
-	for i := range a {
-		if a[i] == b[i] {
-			continue
-		}
-		if a[i] == 2 || b[i] == 2 {
-			return -1
-		}
-		if d >= 0 {
-			return -1
-		}
-		d = i
+	if a.care != b.care {
+		return -1
 	}
-	return d
+	d := a.val ^ b.val
+	if d == 0 || d&(d-1) != 0 {
+		return -1
+	}
+	return bits.TrailingZeros32(d)
 }
 
 func greedyCover(minterms []int, primes []cube) []cube {
-	uncovered := map[int]bool{}
-	for _, m := range minterms {
-		uncovered[m] = true
-	}
+	uncovered := append([]int(nil), minterms...)
 	var chosen []cube
 	for len(uncovered) > 0 {
 		best, bestCount := -1, 0
 		for i, p := range primes {
 			count := 0
-			for m := range uncovered {
+			for _, m := range uncovered {
 				if p.covers(m) {
 					count++
 				}
@@ -325,20 +310,7 @@ func greedyCover(minterms []int, primes []cube) []cube {
 			break // cannot happen for a consistent table; defensive
 		}
 		chosen = append(chosen, primes[best])
-		for m := range uncovered {
-			if primes[best].covers(m) {
-				delete(uncovered, m)
-			}
-		}
+		uncovered = slices.DeleteFunc(uncovered, primes[best].covers)
 	}
 	return chosen
-}
-
-func sortedKeys(m map[string]cube) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

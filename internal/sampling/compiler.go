@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"container/list"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -160,7 +161,7 @@ func (c *Compiler) Compile(f *cnf.Formula) (*Problem, error) {
 		// so a disk hit is a small fraction of a compile (see the -exp cache
 		// bench row).
 		if c.store != nil {
-			if prob, ok := c.loadFromStore(key); ok {
+			if prob, ok := c.loadFromStore(key, f, key); ok {
 				return prob, nil
 			}
 		}
@@ -188,10 +189,11 @@ func (c *Compiler) CompileAssume(f *cnf.Formula, assume []cnf.Lit) (*Problem, er
 	if err := cnf.ValidateAssumptions(f.NumVars, canon); err != nil {
 		return nil, fmt.Errorf("%w: %v", core.ErrBadAssume, err)
 	}
-	key := cnf.AssumeKey(HashFormula(f), canon)
+	baseKey := HashFormula(f)
+	key := cnf.AssumeKey(baseKey, canon)
 	return c.getOrBuild(key, func() (*Problem, error) {
 		if c.store != nil {
-			if prob, ok := c.loadFromStore(key); ok {
+			if prob, ok := c.loadFromStore(key, f, baseKey); ok {
 				return prob, nil
 			}
 		}
@@ -233,8 +235,25 @@ func (c *Compiler) getOrBuild(key string, build func() (*Problem, error)) (*Prob
 	c.evictLocked(el)
 	c.mu.Unlock()
 
-	prob, err := build()
+	// The deferred completion also runs when build panics: the panic goes
+	// on up this goroutine, and waiters get errBuildPanicked instead of
+	// blocking on e.ready forever.
+	var prob *Problem
+	err := errBuildPanicked
+	defer func() { c.complete(el, prob, err) }()
+	prob, err = build()
+	return prob, err
+}
 
+// errBuildPanicked is what waiters on a single-flight entry receive when
+// its builder panicked.
+var errBuildPanicked = errors.New("sampling: compile panicked")
+
+// complete records a finished build on its entry, drops the entry on
+// failure, and releases the waiters.
+func (c *Compiler) complete(el *list.Element, prob *Problem, err error) {
+	e := el.Value.(*cacheEntry)
+	key := e.key
 	c.mu.Lock()
 	e.prob, e.err = prob, err
 	switch {
@@ -260,7 +279,6 @@ func (c *Compiler) getOrBuild(key string, build func() (*Problem, error)) (*Prob
 	}
 	c.mu.Unlock()
 	close(e.ready)
-	return prob, err
 }
 
 // writeBack persists a compiled (or specialized) artifact to the durable
@@ -299,7 +317,7 @@ func (c *Compiler) Lookup(key string) (prob *Problem, ok bool) {
 		if c.store == nil {
 			return nil, false
 		}
-		prob, ok = c.loadFromStore(key)
+		prob, ok = c.loadFromStore(key, nil, "")
 		if !ok {
 			return nil, false
 		}
@@ -351,21 +369,30 @@ func (c *Compiler) LookupAssume(baseKey string, assume []cnf.Lit) (*Problem, boo
 }
 
 // loadFromStore tries the durable tier for one key, counting the outcome.
-// A blob the trailer accepts but the GDSP decode rejects (foreign codec
-// version, misfiled key) is quarantined so it cannot shadow a recompile
-// forever.
-func (c *Compiler) loadFromStore(key string) (*Problem, bool) {
+// The GDSP decode checks the blob's trailer before anything else, so the
+// store's own check is skipped (store.Read). When the caller holds the
+// formula (f, with content hash fHash), the decode compares the embedded
+// formula with it instead of rebuilding it; f is nil on a bare key. A
+// blob the decode rejects (torn file, foreign codec version, misfiled
+// key) is quarantined so it cannot shadow a recompile forever.
+func (c *Compiler) loadFromStore(key string, f *cnf.Formula, fHash string) (*Problem, bool) {
 	miss := func() (*Problem, bool) {
 		c.mu.Lock()
 		c.diskMisses++
 		c.mu.Unlock()
 		return nil, false
 	}
-	blob, ok := c.store.Get(key)
+	blob, ok := c.store.Read(key)
 	if !ok {
 		return miss()
 	}
-	cp, err := core.DecodeProblem(blob)
+	var cp *core.Problem
+	var err error
+	if f != nil {
+		cp, err = core.DecodeProblemOf(blob, f, fHash)
+	} else {
+		cp, err = core.DecodeProblem(blob)
+	}
 	if err != nil {
 		c.store.Quarantine(key, err.Error())
 		return miss()

@@ -1,8 +1,11 @@
 package sampling
 
 import (
+	"errors"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/benchgen"
 	"repro/internal/cnf"
@@ -372,5 +375,64 @@ func TestCompilerErrorNotCached(t *testing.T) {
 	}
 	if st.Entries != 0 {
 		t.Errorf("entries = %d, want 0", st.Entries)
+	}
+}
+
+// TestCompilerPanickingBuildReleasesWaiters: a build that panics must
+// still complete its single-flight entry. A caller already waiting gets
+// an error instead of blocking forever, and the next call rebuilds.
+func TestCompilerPanickingBuildReleasesWaiters(t *testing.T) {
+	c := NewCompiler(4)
+	release := make(chan struct{})
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		c.getOrBuild("k", func() (*Problem, error) {
+			<-release
+			panic("boom")
+		})
+	}()
+	waiter := make(chan error, 1)
+	go func() {
+		// Join the in-flight entry: this build must never run.
+		for c.Stats().Misses == 0 {
+			runtime.Gosched()
+		}
+		_, err := c.getOrBuild("k", func() (*Problem, error) {
+			return nil, errors.New("waiter built instead of waiting")
+		})
+		waiter <- err
+	}()
+	for c.Stats().Hits == 0 {
+		runtime.Gosched()
+	}
+	close(release)
+	if r := <-panicked; r != "boom" {
+		t.Fatalf("builder recovered %v, want the build's panic", r)
+	}
+	select {
+	case err := <-waiter:
+		if !errors.Is(err, errBuildPanicked) {
+			t.Errorf("waiter got %v, want errBuildPanicked", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter still blocked after the build panicked")
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Compile(smallFormula())
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("compile after a panicked build did not return")
+	}
+	if _, err := c.getOrBuild("k", func() (*Problem, error) { return nil, errors.New("rebuilt") }); err == nil || err.Error() != "rebuilt" {
+		t.Errorf("after the panic the entry was not dropped: got %v", err)
 	}
 }

@@ -540,3 +540,35 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("healthz: %d %s", hresp.StatusCode, hbody)
 	}
 }
+
+// TestWideUnionSupportBody: a well-formed body whose resolution test
+// spans 28 variables (14 per side) once panicked the compile, leaving the
+// first POST without a reply and a second POST of the same body blocked
+// on the dead single-flight entry. Both must now stream normally.
+func TestWideUnionSupportBody(t *testing.T) {
+	const body = "p cnf 29 2\n-1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 0\n1 16 17 18 19 20 21 22 23 24 25 26 27 28 29 0\n"
+	f, err := cnf.ParseDIMACSString(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := testServer(t, Config{})
+	for i := 0; i < 2; i++ {
+		resp, err := http.Post(ts.URL+"/v1/sample?target=5&timeout=5s", "text/plain", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := readStream(t, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %d: status %d, want 200", i+1, resp.StatusCode)
+		}
+		if st.done == nil || len(st.sols) == 0 {
+			t.Fatalf("POST %d: %d solutions, done line %v", i+1, len(st.sols), st.done)
+		}
+		for _, s := range st.sols {
+			if !f.Sat(parseBits(t, s)) {
+				t.Fatalf("POST %d: streamed non-model %s", i+1, s)
+			}
+		}
+	}
+}

@@ -110,16 +110,29 @@ func (s *Store) Dir() string { return s.dir }
 // entry's modification time, which is its LRU recency for every process
 // sharing the directory.
 func (s *Store) Get(key string) ([]byte, bool) {
+	data, ok := s.Read(key)
+	if !ok {
+		return nil, false
+	}
+	if !codec.SHA256.Verifies(data) {
+		s.Quarantine(key, "integrity trailer mismatch")
+		return nil, false
+	}
+	return data, true
+}
+
+// Read is Get without the trailer check, for a caller whose decoder
+// checks the trailer itself (core.DecodeProblem does, before any field
+// parse): hashing a multi-megabyte artifact twice on every load is
+// pure waste. Such a caller must Quarantine the key when its decode
+// fails, as Get would have. A successful Read refreshes recency like Get.
+func (s *Store) Read(key string) ([]byte, bool) {
 	if !ValidKey(key) {
 		return nil, false
 	}
 	path := s.path(key)
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, false
-	}
-	if !codec.SHA256.Verifies(data) {
-		s.Quarantine(key, "integrity trailer mismatch")
 		return nil, false
 	}
 	now := time.Now()
