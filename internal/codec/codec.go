@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"slices"
 )
 
 // Trailer selects a format's integrity trailer.
@@ -305,31 +304,53 @@ func (d *Dec) U64s(what string) []uint64 {
 	return out
 }
 
-// ListsLen returns the total element count of the n consecutive records
-// that start at the decoder's position, each headBytes of other fields,
-// then a u32 count and that many elemBytes-byte elements. It consumes
-// nothing: it lets a caller decode all n lists into one allocation of
-// exactly that size. A count that runs past the input fails d.
-func (d *Dec) ListsLen(n, headBytes, elemBytes int, what string) int {
+// Records is a run of records, each head bytes of fixed fields, then a
+// u32 count and that many elem-byte elements, whose bounds Dec.Records
+// has checked. Next walks them in order.
+type Records struct {
+	raw        []byte
+	head, elem int
+}
+
+// Records consumes n records of that shape, checking every count against
+// the input in one pass, and returns them with their total element
+// count, so that a caller can decode all of their lists into one
+// allocation of exactly that size. A count that runs past the input
+// fails d and returns no records.
+func (d *Dec) Records(n, headBytes, elemBytes int, what string) (Records, int) {
 	if d.err != nil {
-		return 0
+		return Records{}, 0
 	}
 	off, total := d.off, 0
 	for i := 0; i < n; i++ {
 		if len(d.buf)-off < headBytes+4 {
 			d.Fail("truncated at offset %d (want %d more bytes)", off, headBytes+4)
-			return 0
+			return Records{}, 0
 		}
 		k := int(binary.LittleEndian.Uint32(d.buf[off+headBytes:]))
 		off += headBytes + 4
 		if k > (len(d.buf)-off)/elemBytes {
 			d.Fail("%s count %d exceeds remaining input", what, k)
-			return 0
+			return Records{}, 0
 		}
 		off += k * elemBytes
 		total += k
 	}
-	return total
+	r := Records{raw: d.buf[d.off:off], head: headBytes, elem: elemBytes}
+	d.off = off
+	return r, total
+}
+
+// Next returns the next record's fixed fields and its elements' bytes;
+// past the last record it returns nil, nil.
+func (r *Records) Next() (head, elems []byte) {
+	if len(r.raw) < r.head+4 {
+		return nil, nil
+	}
+	k := int(binary.LittleEndian.Uint32(r.raw[r.head:]))
+	end := r.head + 4 + k*r.elem
+	head, elems, r.raw = r.raw[:r.head], r.raw[r.head+4:end], r.raw[end:]
+	return head, elems
 }
 
 // I32s reads a u32 count and that many 32-bit words.
@@ -343,25 +364,12 @@ func TakeI32s[T Int32](d *Dec, n int) []T {
 	if d.err != nil {
 		return nil
 	}
-	return words(make([]T, n), raw)
+	return Words(make([]T, n), raw)
 }
 
-// AppendDecI32s is I32s appending to dst, so that many short lists can
-// share one allocation (see ListsLen). On failure it returns dst
-// unchanged.
-func AppendDecI32s[T Int32](d *Dec, dst []T, what string) []T {
-	raw := d.Take(4 * d.Count(4, what))
-	if d.err != nil {
-		return dst
-	}
-	n := len(dst)
-	dst = slices.Grow(dst, len(raw)/4)[:n+len(raw)/4]
-	words(dst[n:], raw)
-	return dst
-}
-
-// words fills out from the little-endian 32-bit words in raw.
-func words[T Int32](out []T, raw []byte) []T {
+// Words fills out from the little-endian 32-bit words in raw, which
+// holds at least len(out) words, and returns out.
+func Words[T Int32](out []T, raw []byte) []T {
 	for i := range out {
 		out[i] = T(int32(binary.LittleEndian.Uint32(raw[4*i:])))
 	}

@@ -104,47 +104,54 @@ func TestDecoderIsStickyAndBounded(t *testing.T) {
 	}
 }
 
-// TestListsIntoOneArray: ListsLen sums the counts of consecutive records
-// without consuming them, and AppendDecI32s then decodes every list into
-// that one array; a forged count fails both cleanly.
-func TestListsIntoOneArray(t *testing.T) {
+// TestRecords: Dec.Records checks a run of count-prefixed records in one
+// pass and reports their total element count, Next hands back each
+// record's fixed fields and elements in order, and a forged count fails
+// the decoder with no records returned.
+func TestRecords(t *testing.T) {
 	f := testFormat(CRC32)
 	lists := [][]int32{{1, -2}, nil, {3, 4, 5}}
 	e := f.Encoder(1, 0)
 	for i, l := range lists {
-		e.U8(uint8(i)) // one byte of other fields per record
+		e.U8(uint8(i)) // one byte of fixed fields per record
 		PutI32s(e, l)
 	}
+	e.U8(99)
 	d, _, err := f.Open(e.Seal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := d.ListsLen(len(lists), 1, 4, "lists")
+	recs, total := d.Records(len(lists), 1, 4, "lists")
 	if total != 5 || d.Err() != nil {
-		t.Fatalf("ListsLen = %d, err %v; want 5", total, d.Err())
+		t.Fatalf("Records total = %d, err %v; want 5", total, d.Err())
 	}
-	all := make([]int32, 0, total)
+	all := make([]int32, total)
 	for i, l := range lists {
-		if got := d.U8(); got != uint8(i) {
-			t.Fatalf("record %d head = %d (ListsLen consumed input?)", i, got)
+		head, raw := recs.Next()
+		if len(head) != 1 || head[0] != uint8(i) {
+			t.Fatalf("record %d head = %v", i, head)
 		}
-		start := len(all)
-		all = AppendDecI32s(d, all, "list")
-		if !slices.Equal(all[start:], l) {
-			t.Fatalf("list %d = %v, want %v", i, all[start:], l)
+		got := Words(all[:len(raw)/4], raw)
+		all = all[len(got):]
+		if !slices.Equal(got, l) {
+			t.Fatalf("record %d = %v, want %v", i, got, l)
 		}
 	}
-	if err := d.Finish(); err != nil || cap(all) != total {
-		t.Fatalf("finish %v, cap %d of %d", err, cap(all), total)
+	if head, raw := recs.Next(); head != nil || raw != nil {
+		t.Fatal("Next past the last record returned data")
+	}
+	if d.U8() != 99 || d.Finish() != nil {
+		t.Fatal("Records did not consume exactly its records")
 	}
 
 	e = f.Encoder(1, 0)
 	e.U32(1 << 30)
 	d, _, _ = f.Open(e.Seal())
-	if n := d.ListsLen(1, 0, 4, "forged"); n != 0 || !errors.Is(d.Err(), errTest) {
-		t.Fatalf("forged count: ListsLen = %d, err %v", n, d.Err())
+	recs, total = d.Records(1, 0, 4, "forged")
+	if total != 0 || !errors.Is(d.Err(), errTest) {
+		t.Fatalf("forged count: total %d, err %v", total, d.Err())
 	}
-	if got := AppendDecI32s(d, []int32{7}, "forged"); !slices.Equal(got, []int32{7}) {
-		t.Fatalf("AppendDecI32s after failure = %v, want dst unchanged", got)
+	if head, raw := recs.Next(); head != nil || raw != nil {
+		t.Fatal("failed Records returned a record")
 	}
 }

@@ -258,12 +258,14 @@ func decodeFormula(d *codec.Dec) *cnf.Formula {
 	ncl := d.Count(4, "clauses")
 	f := &cnf.Formula{NumVars: nv}
 	f.Clauses = make([]cnf.Clause, 0, ncl)
+	recs, total := d.Records(ncl, 0, 4, "clause literals")
 	// Every clause is a sub-slice of one exactly sized literal array.
-	lits := make([]cnf.Lit, 0, d.ListsLen(ncl, 0, 4, "clause literals"))
+	lits := make([]cnf.Lit, total)
 	for i := 0; i < ncl && d.Err() == nil; i++ {
-		start := len(lits)
-		lits = codec.AppendDecI32s(d, lits, "clause literals")
-		cl := lits[start:len(lits):len(lits)]
+		_, raw := recs.Next()
+		n := len(raw) / 4
+		cl := codec.Words(lits[:n:n], raw)
+		lits = lits[n:]
 		for j, l := range cl {
 			if l == 0 || l.Var() > nv {
 				d.Fail("clause %d literal %d is %d over %d variables", i, j, l, nv)
@@ -290,8 +292,9 @@ func matchFormula(d *codec.Dec, f *cnf.Formula) *cnf.Formula {
 		d.Fail("embedded formula differs from the expected one")
 		return f
 	}
+	recs, _ := d.Records(len(f.Clauses), 0, 4, "clause literals")
 	for _, cl := range f.Clauses {
-		if !sameWords(d.Take(4*d.Count(4, "clause literals")), cl) {
+		if _, raw := recs.Next(); d.Err() == nil && !sameWords(raw, cl) {
 			d.Fail("embedded formula differs from the expected one")
 			return f
 		}
@@ -318,21 +321,22 @@ func sameWords[T codec.Int32](raw []byte, vs []T) bool {
 func decodeCircuit(d *codec.Dec, f *cnf.Formula) *circuit.Circuit {
 	nn := d.Count(10, "circuit nodes")
 	c := &circuit.Circuit{Nodes: make([]circuit.Node, 0, nn)}
-	// Every fanin list is a sub-slice of one exactly sized array; a node
-	// record is type, value and variable (6 bytes), then its fanins.
-	fanins := make([]circuit.NodeID, 0, d.ListsLen(nn, 6, 4, "node fanins"))
+	// A node record is type, value and variable (6 bytes), then its
+	// fanins. Every fanin list is a sub-slice of one exactly sized array.
+	recs, total := d.Records(nn, 6, 4, "node fanins")
+	if d.Err() != nil {
+		return c
+	}
+	fanins := make([]circuit.NodeID, total)
 	inputSeen := 0
 	for id := 0; id < nn; id++ {
-		t := circuit.GateType(d.U8())
-		val := d.U8() != 0
-		v := int(int32(d.U32()))
-		start := len(fanins)
-		fanins = codec.AppendDecI32s(d, fanins, "node fanins")
-		fanin := fanins[start:len(fanins):len(fanins)]
-		nf := len(fanin)
-		if d.Err() != nil {
-			return c
-		}
+		head, raw := recs.Next()
+		t := circuit.GateType(head[0])
+		val := head[1] != 0
+		v := int(int32(binary.LittleEndian.Uint32(head[2:])))
+		nf := len(raw) / 4
+		fanin := codec.Words(fanins[:nf:nf], raw)
+		fanins = fanins[nf:]
 		if t > circuit.Xnor {
 			d.Fail("node %d has unknown gate type %d", id, t)
 			return c
@@ -585,22 +589,19 @@ func decodeEngine(d *codec.Dec, c *circuit.Circuit) *engine {
 func decodeVerifyPlan(d *codec.Dec, c *circuit.Circuit) *bitblast.Program {
 	unsat := d.U8() != 0
 	ncl := d.Count(4, "verifier clauses")
-	lits := make([]bitblast.PlanLit, d.ListsLen(ncl, 0, 5, "verifier literals"))
+	recs, total := d.Records(ncl, 0, 5, "verifier literals")
 	if d.Err() != nil {
 		return nil
 	}
+	lits := make([]bitblast.PlanLit, total)
 	ends := make([]int32, ncl)
 	off := 0
 	for i := range ends {
-		nl := d.Count(5, "verifier literals")
-		raw := d.Take(5 * nl)
-		if d.Err() != nil {
-			return nil
+		_, raw := recs.Next()
+		for j := 0; j < len(raw); j += 5 {
+			lits[off] = bitblast.PlanLit{Node: int32(binary.LittleEndian.Uint32(raw[j:])), Neg: raw[j+4] != 0}
+			off++
 		}
-		for j := range nl {
-			lits[off+j] = bitblast.PlanLit{Node: int32(binary.LittleEndian.Uint32(raw[5*j:])), Neg: raw[5*j+4] != 0}
-		}
-		off += nl
 		ends[i] = int32(off)
 	}
 	prog, err := bitblast.FromPlan(c, lits, ends, unsat)
